@@ -15,6 +15,19 @@ Two independent routes to rho(t) live here and the test suite pins them to
 elementwise agreement: * `analytic_state` evaluates closed-form
 trajectories; * `evolve` integrates the generator directly with a classical
 fixed-step 4th-order Runge-Kutta scheme.
+
+The generator is linear, so one RK4 step of length dt is exactly the matrix
+polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 with A = dt L, where L is the
+16x16 Liouvillian acting on vec(rho) (the degree-4 Taylor polynomial of
+exp(dt L); Hairer & Wanner, Solving ODEs II, IV.2). `evolve` builds L column
+by column from the generic right-hand side, forms P once and applies its
+powers between samples. Because L annihilates the trace, P preserves it
+exactly, so divergence never shows as trace loss: stability is decided
+before integrating, from the spectral radius of P (the RK4 amplification
+factor max |R(dt lambda)| over the eigenvalues lambda of L). The two
+identities every RK4 step keeps, trace and Hermiticity, are kept exact in
+the propagation too, so that the rounding of the one matrix applied at
+every sample cannot accumulate in them.
 """
 
 from __future__ import annotations
@@ -27,15 +40,25 @@ import numpy as np
 
 from .model import ModelParams, derived_scales, hamiltonian_block, jump_operators
 
-# evolve aborts when |tr(rho) - 1| exceeds this at any accepted step
-STEP_TRACE_TOL = 1e-6
+# an RK4 step matrix is unstable once its spectral radius exceeds 1 by this
+_RADIUS_TOL = 1e-12
+
+# whole steps within this fraction of t_max / dt count as filling the window
+_STEP_COUNT_RTOL = 1e-9
 
 # X-form off-pattern budget for states fed to the X-only measures
 X_FORM_TOL = 1e-9
 
+# row-major vec(rho) position of each entry of rho transposed
+_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
+
 
 class StepUnstable(RuntimeError):
-    """Fixed-step integration lost the trace; dt too large for the scales."""
+    """dt lies outside the RK4 stability region of the generator.
+
+    Raised by `evolve` before it integrates, when the amplification factor
+    (spectral radius) of a step matrix exceeds 1 or is not finite.
+    """
 
 
 class SingularScale(ValueError):
@@ -151,36 +174,97 @@ def lindblad_rhs(rho, h, jumps) -> np.ndarray:
                 _precompute_jumps(jumps))
 
 
+def _liouvillian(h, pre) -> np.ndarray:
+    """The generator as a 16x16 matrix on row-major vec(rho).
+
+    Column k is the right-hand side applied to the k-th basis matrix, so the
+    matrix knows nothing of the X structure.
+    """
+    basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return np.stack([_rhs(e, h, pre).reshape(16) for e in basis], axis=1)
+
+
+def _rk4_step(gen: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of length h for v' = gen v, as a matrix."""
+    a = h * gen
+    eye = np.eye(len(a), dtype=complex)
+    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+
+
+def _check_stable(step: np.ndarray, h: float, cfg: IntegratorConfig) -> None:
+    radius = math.inf
+    if np.all(np.isfinite(step)):
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+    if not radius <= 1.0 + _RADIUS_TOL:
+        raise StepUnstable(
+            f"RK4 amplification factor {radius:.6g} > 1 for a step of {h:g} "
+            f"(dt={cfg.dt:g}): the run over t=0..{cfg.t_max:g} would diverge; reduce dt")
+
+
+def _keep_hermitian(m: np.ndarray) -> np.ndarray:
+    """m made to map Hermitian matrices to Hermitian ones exactly, as RK4 does."""
+    return 0.5 * (m + m[np.ix_(_TRANSPOSED, _TRANSPOSED)].conj())
+
+
+def _advance(m: np.ndarray, v: np.ndarray, trace: complex) -> np.ndarray:
+    """m @ v, with rho44 set from the trace, which every RK4 step keeps exactly.
+
+    The same rounded matrix is applied at every sample, so its rounding
+    would otherwise move the trace by the same amount each time.
+    """
+    v = m @ v
+    v[15] = trace - v[0] - v[5] - v[10]
+    return v
+
+
+def _step_split(t_max: float, dt: float) -> tuple[int, float]:
+    """Whole steps of length dt that fit in [0, t_max], and the time left over."""
+    ratio = t_max / dt
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) <= _STEP_COUNT_RTOL * ratio:
+        return n_steps, 0.0
+    n_steps = math.floor(ratio)
+    return n_steps, t_max - n_steps * dt
+
+
 def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
            ) -> list[tuple[float, np.ndarray]]:
     """Integrate the master equation from `rho0` with fixed-step RK4.
 
-    Returns [(t, rho)] sampled every `cfg.record_every` steps, always
-    including t = 0 and the final step. Raises StepUnstable when the trace
-    drifts beyond STEP_TRACE_TOL or an entry stops being finite, which for
-    this generator only happens once dt leaves the stability region of the
-    fastest block frequency.
+    The RK4 step is applied as a precomputed 16x16 propagator. Returns
+    [(t, rho)] at t = 0, every `cfg.record_every` steps, and t = `cfg.t_max`.
+    When t_max is not a whole number of steps, one exact RK4 step of the
+    remaining length ends the run at t_max. Raises StepUnstable before
+    integrating when the spectral radius of a step matrix that the run
+    applies exceeds 1 + 1e-12 or is not finite.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    rho = validate_density(rho0).astype(complex, copy=True)
-    h = hamiltonian_block(p)
-    pre = _precompute_jumps(jump_operators(p))
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_max / dt))
+    rho = validate_density(rho0)
+    gen = _liouvillian(hamiltonian_block(p), _precompute_jumps(jump_operators(p)))
+    dt, every = cfg.dt, int(cfg.record_every)
+    n_steps, tail = _step_split(cfg.t_max, dt)
+    step = _rk4_step(gen, dt)
+    if n_steps:
+        _check_stable(step, dt, cfg)
+    last = np.linalg.matrix_power(step, n_steps % every)
+    if tail:
+        short = _rk4_step(gen, tail)
+        _check_stable(short, tail, cfg)
+        last = short @ last
+    stride = _keep_hermitian(np.linalg.matrix_power(step, every))
+    last = _keep_hermitian(last)
+
     out = [(0.0, rho.copy())]
-    for k in range(1, n_steps + 1):
-        k1 = _rhs(rho, h, pre)
-        k2 = _rhs(rho + (0.5 * dt) * k1, h, pre)
-        k3 = _rhs(rho + (0.5 * dt) * k2, h, pre)
-        k4 = _rhs(rho + dt * k3, h, pre)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr_dev = abs(complex(np.trace(rho)) - 1.0)
-        if not math.isfinite(tr_dev) or tr_dev > STEP_TRACE_TOL:
-            raise StepUnstable(
-                f"trace deviation {tr_dev:.3e} at t={k * dt:.6g} (dt={dt:g}); reduce dt")
-        if k % cfg.record_every == 0 or k == n_steps:
-            out.append((k * dt, rho.copy()))
+    v = rho.reshape(16)
+    trace = complex(np.trace(rho))
+    for k in range(every, n_steps + 1, every):
+        v = _advance(stride, v, trace)
+        out.append((k * dt, v.reshape(4, 4)))
+    if n_steps % every or tail:
+        out.append((float(cfg.t_max), _advance(last, v, trace).reshape(4, 4)))
+    elif n_steps:
+        out[-1] = (float(cfg.t_max), out[-1][1])
     return out
 
 

@@ -320,6 +320,13 @@ def test_unstable_integration_exit_code(conf, tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
 
 
+def test_step_outside_stability_region_exit_code(conf, tmp_path, capsys):
+    code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
+                 "--dt", "0.7", "--t-max", "10"])
+    assert code == 3
+    assert "reduce dt" in capsys.readouterr().err
+
+
 def test_validate_quick_passes(capsys):
     assert main(["validate", "--quick"]) == 0
     out = capsys.readouterr().out

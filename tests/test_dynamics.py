@@ -142,11 +142,80 @@ def test_evolution_invariants(rng):
         assert x_leakage(rho) == 0.0
 
 
+def test_long_unitary_run_keeps_trace_and_hermiticity():
+    # the same stride matrix is applied 20 000 times; its rounding must not add up
+    p = ModelParams(gamma=0.0)
+    cfg = IntegratorConfig(dt=1e-3, t_max=200.0, record_every=10)
+    for t, rho in evolve(initial_state(p.theta), p, cfg):
+        assert abs(np.trace(rho) - 1.0) < 1e-13
+        assert max_abs(rho - rho.conj().T) < 1e-13
+
+
 def test_recording_grid():
     cfg = IntegratorConfig(dt=0.01, t_max=0.05, record_every=2)
     series = evolve(initial_state(0.3), ModelParams(theta=0.3), cfg)
     times = [t for t, _ in series]
     assert times == pytest.approx([0.0, 0.02, 0.04, 0.05])
+
+
+def test_propagator_matches_stage_by_stage_rk4(rng):
+    # reference: the four-stage RK4 loop on the matrix right-hand side
+    p = random_params(rng)
+    h, jumps = hamiltonian_block(p), jump_operators(p)
+    dt, n_steps = 1e-2, 300
+    rho = initial_state(p.theta)
+    expected = [rho]
+    for _ in range(n_steps):
+        k1 = lindblad_rhs(rho, h, jumps)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, h, jumps)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, h, jumps)
+        k4 = lindblad_rhs(rho + dt * k3, h, jumps)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(rho)
+    cfg = IntegratorConfig(dt=dt, t_max=n_steps * dt, record_every=1)
+    series = evolve(initial_state(p.theta), p, cfg)
+    assert len(series) == len(expected)
+    for (_, got), want in zip(series, expected):
+        assert max_abs(got - want) < 1e-12
+
+
+def test_runs_end_exactly_at_t_max():
+    p = ModelParams()
+    # not a whole number of steps: one short exact RK4 step ends the run
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=10)
+    t_last, rho_last = evolve(initial_state(p.theta), p, cfg)[-1]
+    assert t_last == 0.1005
+    assert max_abs(rho_last - analytic_state(p, 0.1005)) < 1e-9
+    cfg = IntegratorConfig(dt=0.3, t_max=1.0, record_every=1)
+    times = [t for t, _ in evolve(initial_state(p.theta), p, cfg)]
+    assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert times[-1] == 1.0
+    # three whole steps, although 3 * 0.1 rounds to 0.30000000000000004
+    cfg = IntegratorConfig(dt=0.1, t_max=0.3, record_every=3)
+    assert [t for t, _ in evolve(initial_state(p.theta), p, cfg)] == [0.0, 0.3]
+
+
+@pytest.mark.parametrize("t_max", [0.1, 0.1005])
+def test_strided_samples_match_every_step_samples(t_max):
+    # 100 whole steps, not a multiple of the stride; the second window adds a short step
+    p = ModelParams()
+    every_step = dict(evolve(initial_state(p.theta), p,
+                             IntegratorConfig(dt=1e-3, t_max=t_max, record_every=1)))
+    strided = evolve(initial_state(p.theta), p,
+                     IntegratorConfig(dt=1e-3, t_max=t_max, record_every=7))
+    assert [t for t, _ in strided][:-1] == [k * 1e-3 for k in range(0, 99, 7)]
+    assert strided[-1][0] == t_max
+    for t, rho in strided:
+        assert max_abs(rho - every_step[t]) < 1e-12
+
+
+def test_whole_float_record_every_samples_like_the_int():
+    # IntegratorConfig accepts any whole number, so 2.0 must stride like 2
+    p = ModelParams()
+    runs = [evolve(initial_state(p.theta), p,
+                   IntegratorConfig(dt=0.01, t_max=0.05, record_every=every))
+            for every in (2, 2.0)]
+    assert [t for t, _ in runs[0]] == [t for t, _ in runs[1]]
 
 
 def test_halving_dt_shrinks_error_by_rk4_factor():
@@ -194,6 +263,16 @@ def test_unstable_step_raises_with_context():
         evolve(initial_state(p.theta), p, cfg)
     assert "t=" in str(err.value)
     assert "dt=" in str(err.value)
+
+
+def test_step_outside_stability_region_raises():
+    # the linear RK4 step keeps the trace exactly, so this run used to diverge silently
+    p = ModelParams()
+    cfg = IntegratorConfig(dt=0.7, t_max=10.0, record_every=1)
+    with pytest.raises(StepUnstable) as err:
+        evolve(initial_state(p.theta), p, cfg)
+    assert "dt=0.7" in str(err.value)
+    assert "reduce dt" in str(err.value)
 
 
 def test_analytic_rejects_negative_time():
