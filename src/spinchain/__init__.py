@@ -21,16 +21,10 @@ from .dynamics import (
     x_components,
     x_leakage,
 )
-from .linalg import (
-    DimensionMismatch,
-    EigenSystem,
-    NoConvergence,
-    NotHermitian,
-    hermitian_eig,
-)
 from .measures import (
     BasisRotation,
     MeasureSet,
+    NotHermitian,
     NotXForm,
     XConcurrence,
     concurrence_generic,
@@ -60,12 +54,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisRotation",
     "DerivedScales",
-    "DimensionMismatch",
-    "EigenSystem",
     "IntegratorConfig",
     "MeasureSet",
     "ModelParams",
-    "NoConvergence",
     "NoDissipation",
     "NotHermitian",
     "NotXForm",
@@ -81,7 +72,6 @@ __all__ = [
     "evaluate_measures",
     "evolve",
     "hamiltonian_block",
-    "hermitian_eig",
     "initial_state",
     "jump_operators",
     "l1_coherence",

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, derived_scales, hamiltonian_block, jump_operators
+from .model import DerivedScales, ModelParams, derived_scales, hamiltonian_block, jump_operators
 
 # an RK4 step matrix is unstable once its spectral radius exceeds 1 by this
 _RADIUS_TOL = 1e-12
@@ -48,6 +48,13 @@ _STEP_COUNT_RTOL = 1e-9
 
 # X-form off-pattern budget for states fed to the X-only measures
 X_FORM_TOL = 1e-9
+
+# largest max |a_ij - conj(a_ji)| accepted for a state or a generator
+HERMITIAN_TOL = 1e-10
+
+# density-matrix invariants enforced on the initial state of a run
+_TRACE_TOL = 1e-9
+_EIG_FLOOR = -1e-9
 
 # row-major vec(rho) position of each entry of rho transposed
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
@@ -123,27 +130,37 @@ def x_leakage(rho) -> float:
     return max(abs(r[i, j]) for i, j in _OFF_PATTERN)
 
 
-def validate_density(rho, herm_tol: float = 1e-10, trace_tol: float = 1e-9,
-                     eig_floor: float = -1e-9) -> np.ndarray:
+def max_abs(a) -> float:
+    """Largest entry magnitude (elementwise infinity norm)."""
+    return float(np.max(np.abs(np.asarray(a))))
+
+
+def hermiticity_defect(a) -> float:
+    """max |a_ij - conj(a_ji)| of a square matrix."""
+    m = np.asarray(a, dtype=complex)
+    return max_abs(m - m.conj().T)
+
+
+def validate_density(rho) -> np.ndarray:
     """Check the density-matrix invariants, returning the array on success.
 
-    Hermitian within `herm_tol`, unit trace within `trace_tol`, eigenvalues
-    above `eig_floor`, every entry finite; 4x4.
+    Hermitian within HERMITIAN_TOL, unit trace within 1e-9, eigenvalues
+    above -1e-9, every entry finite; 4x4.
     """
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {r.shape}")
     if not np.all(np.isfinite(r.real)) or not np.all(np.isfinite(r.imag)):
         raise ValueError("density matrix contains NaN or Inf entries")
-    herm = float(np.max(np.abs(r - r.conj().T)))
-    if herm > herm_tol:
-        raise ValueError(f"density matrix hermiticity defect {herm:.3e} > {herm_tol:.3e}")
+    herm = hermiticity_defect(r)
+    if herm > HERMITIAN_TOL:
+        raise ValueError(f"density matrix hermiticity defect {herm:.3e} > {HERMITIAN_TOL:.3e}")
     tr_dev = abs(complex(np.trace(r)) - 1.0)
-    if tr_dev > trace_tol:
+    if tr_dev > _TRACE_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
     min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
-    if min_eig < eig_floor:
-        raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {eig_floor:.3e}")
+    if min_eig < _EIG_FLOOR:
+        raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {_EIG_FLOOR:.3e}")
     return r
 
 
@@ -268,6 +285,16 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
     return out
 
 
+def _closed_form_scales(p: ModelParams) -> DerivedScales:
+    """derived_scales(p), refusing the points where the closed forms divide by zero."""
+    d = derived_scales(p)
+    if d.Omega == 0.0:
+        raise SingularScale("Omega = 0 (eta = 0 and Delta = 0): closed forms divide by Omega")
+    if d.omega == 0.0:
+        raise SingularScale("omega = 0 (J = 0 and b = 0): closed forms divide by omega")
+    return d
+
+
 def analytic_state(p: ModelParams, t: float) -> np.ndarray:
     """Closed-form X-state trajectory at time t >= 0.
 
@@ -278,11 +305,7 @@ def analytic_state(p: ModelParams, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    delta, big_om, om = derived_scales(p)
-    if big_om == 0.0:
-        raise SingularScale("Omega = 0 (eta = 0 and Delta = 0): closed forms divide by Omega")
-    if om == 0.0:
-        raise SingularScale("omega = 0 (J = 0 and b = 0): closed forms divide by omega")
+    delta, big_om, om = _closed_form_scales(p)
 
     j, eta, b, g = p.J, p.eta, p.b, p.gamma
     om2 = om * om
@@ -349,11 +372,7 @@ def steady_state_limit(p: ModelParams) -> np.ndarray:
     """
     if p.gamma == 0:
         raise NoDissipation("gamma = 0: no unique long-time limit")
-    delta, big_om, om = derived_scales(p)
-    if big_om == 0.0:
-        raise SingularScale("Omega = 0 (eta = 0 and Delta = 0): closed forms divide by Omega")
-    if om == 0.0:
-        raise SingularScale("omega = 0 (J = 0 and b = 0): closed forms divide by omega")
+    delta, big_om, _ = _closed_form_scales(p)
     g = p.gamma
     denom = big_om**2 + g * g
     pop = p.J**2 * p.eta**2 / (4.0 * denom)

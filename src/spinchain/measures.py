@@ -14,8 +14,10 @@ eigendecomposition of rho, PROVIDED the double sum defining M runs over all
 index pairs (the diagonal i = j contributes p_i <i|A|i><i|B|i>). Dropping
 the diagonal, as sometimes written, breaks the identity on low-rank states
 (a pure product state then scores a spurious Q = 1); that variant is kept
-as `lqfi_paper_variant` for comparison, and `lqfi_bruteforce` minimizes the
-parent measure on a direction grid without using M at all.
+as `lqfi_paper_variant` for comparison. `lqfi_bruteforce` reaches the same
+minimum without M: qfi(rho, r.sigma x I) is a quadratic form in r, so its
+3x3 matrix follows exactly from six generic `qfi` calls by polarization,
+and the minimum over unit r is its smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import X_FORM_TOL, x_components, x_leakage
-from .linalg import NotHermitian, hermiticity_defect, kron
+from .dynamics import HERMITIAN_TOL, X_FORM_TOL, hermiticity_defect, x_components, x_leakage
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # eigenvalue pairs with p_i + p_j at or below this are dropped from the sums
@@ -35,6 +36,21 @@ PAIR_EPS = 1e-12
 
 # density eigenvalues in [-EIG_CLAMP, 0) are treated as 0; below is an error
 EIG_CLAMP = 1e-9
+
+# sigma_l x I for l = x, y, z
+_LOCAL_OBS = np.stack([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+class NotHermitian(ValueError):
+    """Matrix deviates from its conjugate transpose beyond tolerance."""
+
+
+class NotPositive(ValueError):
+    """Density matrix has an eigenvalue below -EIG_CLAMP."""
+
+    def __init__(self, min_eig: float):
+        super().__init__(f"density eigenvalue {min_eig:.3e} below -{EIG_CLAMP:.0e}")
+        self.min_eig = min_eig
 
 
 class NotXForm(ValueError):
@@ -68,7 +84,7 @@ def concurrence_generic(rho) -> float:
     w, v = np.linalg.eigh((r + r.conj().T) / 2.0)
     w[w < 0.0] = 0.0  # clamp roundoff negatives before the root
     sq = (v * np.sqrt(w)) @ v.conj().T
-    yy = kron(SIGMA_Y, SIGMA_Y)
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
     lam = np.linalg.svd(sq @ yy @ sq.conj(), compute_uv=False)
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
 
@@ -112,7 +128,7 @@ def rotation_unitary(rot: BasisRotation) -> np.ndarray:
 
 def two_qubit_rotation(rot: BasisRotation) -> np.ndarray:
     u = rotation_unitary(rot)
-    return kron(u, u)
+    return np.kron(u, u)
 
 
 def l1_coherence(rho, rotation: BasisRotation | None = None) -> float:
@@ -132,12 +148,12 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float:
 def _density_eig(rho):
     r = np.asarray(rho, dtype=complex)
     defect = hermiticity_defect(r)
-    if defect > 1e-10:
-        raise NotHermitian(f"state hermiticity defect {defect:.3e} exceeds 1e-10")
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(f"state hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     p, v = np.linalg.eigh(r)
     low = float(p.min())
     if low < -EIG_CLAMP:
-        raise ValueError(f"density eigenvalue {low:.3e} below -{EIG_CLAMP:.0e}")
+        raise NotPositive(low)
     p = np.where(p < 0.0, 0.0, p)
     return p, v
 
@@ -152,8 +168,8 @@ def qfi(rho, h) -> float:
     """
     hm = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(hm)
-    if defect > 1e-10:
-        raise NotHermitian(f"generator hermiticity defect {defect:.3e} exceeds 1e-10")
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(f"generator hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     p, v = _density_eig(rho)
     h_eig = v.conj().T @ hm @ v
     return _qfi_from_elements(p, h_eig)
@@ -170,18 +186,6 @@ def _qfi_from_elements(p, h_eig) -> float:
     return float(0.5 * np.sum(w * np.abs(h_eig) ** 2))
 
 
-_LOCAL_OBS = None
-
-
-def _local_observables():
-    # sigma_l x I for l = x, y, z, built once
-    global _LOCAL_OBS
-    if _LOCAL_OBS is None:
-        _LOCAL_OBS = np.stack([kron(s, IDENTITY_2)
-                               for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-    return _LOCAL_OBS
-
-
 def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     """The 3x3 direction matrix M_lk from the eigendecomposition (p, v).
 
@@ -189,7 +193,7 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
            <i|sigma_l x I|j><j|sigma_k x I|i>; the i = j terms carry weight
     p_i and are included only for the corrected measure.
     """
-    a = np.einsum('mi,lmn,nj->lij', v.conj(), _local_observables(), v)
+    a = np.einsum('mi,lmn,nj->lij', v.conj(), _LOCAL_OBS, v)
     psum = p[:, None] + p[None, :]
     w = np.zeros_like(psum)
     mask = psum > PAIR_EPS
@@ -197,8 +201,11 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     if not include_diagonal:
         np.fill_diagonal(w, 0.0)
     m = np.einsum('ij,lij,kij->lk', w, a, a.conj())
+    # M is real for Hermitian local observables
     residue = float(np.max(np.abs(m.imag)))
-    assert residue < 1e-10, f"M matrix anti-symmetric residue {residue:.3e}"
+    if residue > HERMITIAN_TOL:
+        raise NotHermitian(f"M matrix imaginary residue {residue:.3e} exceeds "
+                           f"{HERMITIAN_TOL:.0e}: local observables are not Hermitian")
     return m.real
 
 
@@ -226,38 +233,19 @@ def lqfi_paper_variant(rho) -> float:
     return float(1.0 - np.linalg.eigvalsh(m)[-1])
 
 
-def lqfi_bruteforce(rho, n_polar: int = 200, n_azimuth: int = 400) -> float:
-    """Grid minimum of qfi(rho, sigma_r x I) over probe directions r.
+def lqfi_bruteforce(rho) -> float:
+    """Minimum of qfi(rho, sigma_r x I) over unit directions r, by polarization.
 
-    Independent cross-check for `lqfi`: evaluates the parent double sum
-    directly at every direction of an (n_polar x n_azimuth) sphere grid and
-    takes the minimum, never forming M. The grid minimum upper-bounds the
-    true minimum by O(grid spacing squared).
+    Independent cross-check for `lqfi`: qfi(rho, r.sigma x I) = r^T F r, and
+    the 3x3 matrix F follows exactly from the generic `qfi` on the
+    generators for x, y, z, x+y, x+z and y+z, since
+    F_lk = (qfi(l + k) - qfi(l) - qfi(k)) / 2. The result is lambda_min(F).
+    M is never formed.
     """
-    if n_polar < 8 or n_azimuth < 8:
-        raise ValueError("grid must be at least 8 x 8")
-    p, v = _density_eig(rho)
-    a = np.einsum('mi,lmn,nj->lij', v.conj(), _local_observables(), v)
-
-    polar = np.linspace(0.0, math.pi, n_polar)
-    azimuth = np.arange(n_azimuth) * (2.0 * math.pi / n_azimuth)
-    st, ct = np.sin(polar), np.cos(polar)
-    ca, sa = np.cos(azimuth), np.sin(azimuth)
-    r = np.empty((n_polar * n_azimuth, 3))
-    r[:, 0] = np.outer(st, ca).ravel()
-    r[:, 1] = np.outer(st, sa).ravel()
-    r[:, 2] = np.repeat(ct, n_azimuth)
-
-    psum = p[:, None] + p[None, :]
-    pdif = p[:, None] - p[None, :]
-    mask = psum > PAIR_EPS
-    np.fill_diagonal(mask, False)
-    w = np.zeros_like(psum)
-    w[mask] = pdif[mask] ** 2 / psum[mask]
-
-    h_eig = np.einsum('gl,lij->gij', r, a)
-    f = 0.5 * np.einsum('ij,gij->g', w, np.abs(h_eig) ** 2)
-    return float(f.min())
+    f = np.diag([qfi(rho, obs) for obs in _LOCAL_OBS])
+    for l, k in ((0, 1), (0, 2), (1, 2)):
+        f[l, k] = f[k, l] = 0.5 * (qfi(rho, _LOCAL_OBS[l] + _LOCAL_OBS[k]) - f[l, l] - f[k, k])
+    return float(np.linalg.eigvalsh(f)[0])
 
 
 @dataclass(frozen=True)

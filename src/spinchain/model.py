@@ -28,8 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import kron
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -138,8 +136,8 @@ def jump_operators(p: ModelParams) -> list[tuple[np.ndarray, float]]:
     sigma^- x I on the first site, I x sigma^- on the second.
     """
     return [
-        (kron(SIGMA_MINUS, IDENTITY_2), p.gamma),
-        (kron(IDENTITY_2, SIGMA_MINUS), p.gamma),
+        (np.kron(SIGMA_MINUS, IDENTITY_2), p.gamma),
+        (np.kron(IDENTITY_2, SIGMA_MINUS), p.gamma),
     ]
 
 

@@ -22,10 +22,22 @@ from spinchain import (
     x_components,
     x_leakage,
 )
-from spinchain.linalg import max_abs
+from spinchain.dynamics import hermiticity_defect, max_abs
 
 
 # --- structure helpers ------------------------------------------------------
+
+def test_max_abs():
+    assert max_abs(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+
+
+def test_hermiticity_defect(rng):
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = h + h.conj().T
+    assert hermiticity_defect(h) == 0.0
+    h[0, 1] += 1e-3
+    assert hermiticity_defect(h) >= 1e-3 / 2
+
 
 def test_x_components_extraction(rng):
     rho = random_x_state(rng)
