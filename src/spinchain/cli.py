@@ -167,57 +167,49 @@ def _rotation_of(cfg: ScenarioConfig) -> BasisRotation | None:
     return BasisRotation(phi=cfg.phi or 0.0, varphi=cfg.varphi or 0.0)
 
 
-def _scenario_states(cfg: ScenarioConfig) -> list[tuple[float, np.ndarray]]:
+def _stacked(series) -> tuple[np.ndarray, np.ndarray]:
+    """(times[T], states[T, 4, 4]) of a list of (t, rho) samples."""
+    return np.array([t for t, _ in series]), np.array([rho for _, rho in series])
+
+
+def _scenario_states(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
     rho0 = initial_state(cfg.params.theta)
     if cfg.mode == "single-sector":
-        return evolve(rho0, cfg.params, icfg)
-    # equal-weight sector average; the mu = 0 sector is doubly degenerate
-    sequences = []
-    for mu, weight in ((1, 0.25), (0, 0.50), (-1, 0.25)):
-        seq = evolve(rho0, replace(cfg.params, mu=mu), icfg)
-        sequences.append((weight, seq))
-    out = []
-    for idx in range(len(sequences[0][1])):
-        t = sequences[0][1][idx][0]
-        avg = sum(w * seq[idx][1] for w, seq in sequences)
-        out.append((t, avg))
-    return out
+        return _stacked(evolve(rho0, cfg.params, icfg))
+    # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
+    (times, plus), (_, zero), (_, minus) = (
+        _stacked(evolve(rho0, replace(cfg.params, mu=mu), icfg)) for mu in (1, 0, -1))
+    return times, 0.25 * plus + 0.5 * zero + 0.25 * minus
 
 
-def _row_values(t: float, rho, rotation: BasisRotation | None) -> list[float]:
-    rec = record_from_state(t, rho)
-    ms = evaluate_measures(rho)
-    l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
-    return [
-        rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
-        rec.abs_rho14, rec.abs_rho23,
-        ms.concurrence, ms.c1_branch, ms.c2_branch,
-        ms.l1_coherence, l1_rot, ms.lqfi,
-        rec.trace_dev, rec.min_eig,
-    ]
-
-
-def _measured_rows(cfg: ScenarioConfig, rotation: BasisRotation | None) -> list[list[float]]:
-    """CSV rows of the integrated states.
+def _measured_rows(cfg: ScenarioConfig, rotation: BasisRotation | None) -> np.ndarray:
+    """The (T, 15) table of CSV_COLUMNS over the integrated states.
 
     RK4 does not keep positivity, so a coarse but stable dt can leave a
     recorded state with an eigenvalue below -EIG_CLAMP; that is an
     integration failure, not a bad input.
     """
-    rows = []
-    for t, rho in _scenario_states(cfg):
-        try:
-            rows.append(_row_values(t, rho, rotation))
-        except NotPositive as exc:
-            raise StepUnstable(
-                f"integrated state at t={t:.6g} has min_eig {exc.min_eig:.3e} below "
-                f"-{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt") from exc
-    return rows
+    times, states = _scenario_states(cfg)
+    rec = record_from_state(times, states)
+    try:
+        ms = evaluate_measures(states)
+    except NotPositive as exc:
+        raise StepUnstable(
+            f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} below "
+            f"-{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt") from exc
+    l1_rot = ms.l1_coherence if rotation is None else l1_coherence(states, rotation)
+    return np.column_stack([
+        rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
+        rec.abs_rho14, rec.abs_rho23,
+        ms.concurrence, ms.c1_branch, ms.c2_branch,
+        ms.l1_coherence, l1_rot, ms.lqfi,
+        rec.trace_dev, rec.min_eig,
+    ])
 
 
-def scenario_rows(cfg: ScenarioConfig) -> tuple[list[str], list[list[float]]]:
-    """Evaluate one scenario into a CSV header and data rows.
+def scenario_rows(cfg: ScenarioConfig) -> tuple[list[str], np.ndarray]:
+    """Evaluate one scenario into a CSV header and a (T, columns) float table.
 
     With compare_j0_zero the same scenario is re-run at J0 = 0 and every
     non-time column is appended again with a ``_ref`` suffix.
@@ -229,19 +221,20 @@ def scenario_rows(cfg: ScenarioConfig) -> tuple[list[str], list[list[float]]]:
         ref_cfg = replace(cfg, params=replace(cfg.params, J0=0.0), compare_j0_zero=False)
         ref_rows = _measured_rows(ref_cfg, rotation)
         header += [name + "_ref" for name in CSV_COLUMNS[1:]]
-        rows = [row + ref_row[1:] for row, ref_row in zip(rows, ref_rows)]
+        rows = np.hstack([rows, ref_rows[:, 1:]])
     return header, rows
 
 
 def format_csv_value(x) -> str:
+    """The CSV text of one value; `write_csv` writes exactly these bytes."""
     return format(float(x), ".17g")
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows with 17 significant digits and LF endings (byte stable)."""
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_csv_value(v) for v in row))
+    lines += [row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -295,8 +288,8 @@ def run_evolve(cfg: ScenarioConfig, out_path=None) -> int:
     path = Path(out_path or cfg.output_path or "evolve.csv")
     write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} samples)")
-    c_idx = CSV_COLUMNS.index("concurrence")
-    events = detect_events([r[0] for r in rows], [r[c_idx] for r in rows])
+    concurrence = rows[:, CSV_COLUMNS.index("concurrence")]
+    events = detect_events(rows[:, 0].tolist(), concurrence.tolist())
     for ev in events:
         print(f"{ev.kind} at t = {format(ev.t, '.6g')}")
     if cfg.plot:
@@ -325,15 +318,15 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         except ValueError as exc:
             raise ConfigError(f"sweep value {param}={value!r}: {exc}") from exc
 
-    rows = []
+    blocks = []
     for value, point_cfg in zip(values, point_cfgs):
         try:
             header, point_rows = scenario_rows(point_cfg)
         except StepUnstable as exc:
             raise StepUnstable(f"sweep point {param}={float(value):g}: {exc}") from exc
-        rows += [[float(value)] + row for row in point_rows]
+        blocks.append(np.column_stack([np.full(len(point_rows), float(value)), point_rows]))
     path = Path(out_path or cfg.output_path or "sweep.csv")
-    write_csv(path, ["sweep_value"] + header, rows)
+    write_csv(path, ["sweep_value"] + header, np.vstack(blocks))
     print(f"wrote {path} ({count} values of {param} x {len(point_rows)} samples)")
     return 0
 
@@ -432,10 +425,11 @@ def run_validate(quick: bool = False, dt: float | None = None,
                 break
             for t, rho in series:
                 worst = max(worst, max_abs(rho - analytic_state(p, t)))
-                rec = record_from_state(t, rho)
-                worst_tr = max(worst_tr, rec.trace_dev)
-                worst_eig = min(worst_eig, rec.min_eig)
-                worst_leak = max(worst_leak, x_leakage(rho))
+            times, states = _stacked(series)
+            rec = record_from_state(times, states)
+            worst_tr = max(worst_tr, float(np.max(rec.trace_dev)))
+            worst_eig = min(worst_eig, float(np.min(rec.min_eig)))
+            worst_leak = max(worst_leak, float(np.max(x_leakage(states))))
         if blew_up:
             break
     if blew_up:

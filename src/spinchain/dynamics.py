@@ -28,6 +28,11 @@ factor max |R(dt lambda)| over the eigenvalues lambda of L). The two
 identities every RK4 step keeps, trace and Hermiticity, are kept exact in
 the propagation too, so that the rounding of the one matrix applied at
 every sample cannot accumulate in them.
+
+The per-sample helpers (`x_components`, `x_leakage`, `hermiticity_defect`,
+`record_from_state`) take one 4x4 state or a (T, 4, 4) stack of states and
+return floats for one state and length-T arrays for a stack, so a whole
+trajectory is reduced in one call.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class IntegratorConfig:
 
 
 class XComponents(NamedTuple):
-    """The six independent entries of an X-form state.
+    """The six independent entries of an X-form state (arrays for a stack).
 
     Populations are returned as real parts; their imaginary parts are
     bounded by the Hermiticity budget of the state.
@@ -108,26 +113,41 @@ class XComponents(NamedTuple):
     rho23: complex
 
 
-# index pairs outside the X sparsity pattern
-_OFF_PATTERN = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+# row and column indices of the entries outside the X sparsity pattern
+_OFF_ROWS, _OFF_COLS = np.array([(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]).T
+
+
+def per_state(values):
+    """A float for one state's 0-d result, the array itself for a stack's."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def magnitude(z):
+    """|z| computed as hypot(Re z, Im z), the rounding of Python's abs(complex).
+
+    np.abs on complex numbers differs from it in the last bit for about a
+    third of inputs.
+    """
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def x_components(rho) -> XComponents:
     r = np.asarray(rho, dtype=complex)
+    # [()] turns the 0-d results of one state into numpy scalars
     return XComponents(
-        rho11=r[0, 0].real,
-        rho22=r[1, 1].real,
-        rho33=r[2, 2].real,
-        rho44=r[3, 3].real,
-        rho14=complex(r[0, 3]),
-        rho23=complex(r[1, 2]),
+        rho11=r[..., 0, 0].real[()],
+        rho22=r[..., 1, 1].real[()],
+        rho33=r[..., 2, 2].real[()],
+        rho44=r[..., 3, 3].real[()],
+        rho14=r[..., 0, 3][()],
+        rho23=r[..., 1, 2][()],
     )
 
 
-def x_leakage(rho) -> float:
-    """Largest entry magnitude outside the X sparsity pattern."""
+def x_leakage(rho) -> float | np.ndarray:
+    """Largest entry magnitude outside the X sparsity pattern, per state."""
     r = np.asarray(rho, dtype=complex)
-    return max(abs(r[i, j]) for i, j in _OFF_PATTERN)
+    return per_state(np.max(np.abs(r[..., _OFF_ROWS, _OFF_COLS]), axis=-1))
 
 
 def max_abs(a) -> float:
@@ -135,10 +155,10 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def hermiticity_defect(a) -> float:
-    """max |a_ij - conj(a_ji)| of a square matrix."""
+def hermiticity_defect(a) -> float | np.ndarray:
+    """max |a_ij - conj(a_ji)| of a square matrix, per matrix of a stack."""
     m = np.asarray(a, dtype=complex)
-    return max_abs(m - m.conj().T)
+    return per_state(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -387,7 +407,10 @@ def steady_state_limit(p: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesRecord:
-    """Per-sample populations, coherence magnitudes, and health diagnostics."""
+    """Populations, coherence magnitudes, and health diagnostics of samples.
+
+    Each field is a float for one sample and a length-T array for a stack.
+    """
 
     t: float
     rho11: float
@@ -400,18 +423,19 @@ class TimeSeriesRecord:
     min_eig: float
 
 
-def record_from_state(t: float, rho) -> TimeSeriesRecord:
+def record_from_state(t, rho) -> TimeSeriesRecord:
+    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T]."""
     r = np.asarray(rho, dtype=complex)
     c = x_components(r)
-    min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
+    min_eig = np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
     return TimeSeriesRecord(
-        t=float(t),
-        rho11=c.rho11,
-        rho22=c.rho22,
-        rho33=c.rho33,
-        rho44=c.rho44,
-        abs_rho14=abs(c.rho14),
-        abs_rho23=abs(c.rho23),
-        trace_dev=abs(complex(np.trace(r)) - 1.0),
-        min_eig=min_eig,
+        t=per_state(np.asarray(t, dtype=float)),
+        rho11=per_state(c.rho11),
+        rho22=per_state(c.rho22),
+        rho33=per_state(c.rho33),
+        rho44=per_state(c.rho44),
+        abs_rho14=per_state(magnitude(c.rho14)),
+        abs_rho23=per_state(magnitude(c.rho23)),
+        trace_dev=per_state(np.abs(np.trace(r, axis1=-2, axis2=-1) - 1.0)),
+        min_eig=per_state(min_eig),
     )

@@ -18,6 +18,14 @@ as `lqfi_paper_variant` for comparison. `lqfi_bruteforce` reaches the same
 minimum without M: qfi(rho, r.sigma x I) is a quadratic form in r, so its
 3x3 matrix follows exactly from six generic `qfi` calls by polarization,
 and the minimum over unit r is its smallest eigenvalue.
+
+The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
+`lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
+(T, 4, 4) stack and return floats for one state and length-T arrays for a
+stack, so a whole trajectory is measured in one call. Their guards check
+every element and raise for the first one that fails. The generic routes
+(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) stay single-state
+cross-checks.
 """
 
 from __future__ import annotations
@@ -28,7 +36,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import HERMITIAN_TOL, X_FORM_TOL, hermiticity_defect, x_components, x_leakage
+from .dynamics import (
+    HERMITIAN_TOL,
+    X_FORM_TOL,
+    hermiticity_defect,
+    magnitude,
+    per_state,
+    x_components,
+    x_leakage,
+)
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # eigenvalue pairs with p_i + p_j at or below this are dropped from the sums
@@ -46,19 +62,31 @@ class NotHermitian(ValueError):
 
 
 class NotPositive(ValueError):
-    """Density matrix has an eigenvalue below -EIG_CLAMP."""
+    """Density matrix has an eigenvalue below -EIG_CLAMP.
 
-    def __init__(self, min_eig: float):
+    `min_eig` is the smallest eigenvalue of the first offending state and
+    `index` its position in the stack (0 for a single state).
+    """
+
+    def __init__(self, min_eig: float, index: int = 0):
         super().__init__(f"density eigenvalue {min_eig:.3e} below -{EIG_CLAMP:.0e}")
         self.min_eig = min_eig
+        self.index = index
 
 
 class NotXForm(ValueError):
     """State has entries outside the X sparsity pattern beyond tolerance."""
 
 
+def _first_above(values, tol):
+    """(index, value) of the first element of a scalar or stack above tol, or None."""
+    flat = np.ravel(values)
+    hits = np.flatnonzero(flat > tol)
+    return (int(hits[0]), float(flat[hits[0]])) if hits.size else None
+
+
 class XConcurrence(NamedTuple):
-    """Concurrence of an X state and its two raw branches.
+    """Concurrence of an X state and its two raw branches (arrays for a stack).
 
     c1_branch = |rho23| - sqrt(rho11 rho44) (inner coherence channel),
     c2_branch = |rho14| - sqrt(rho22 rho33) (outer coherence channel);
@@ -92,15 +120,17 @@ def concurrence_generic(rho) -> float:
 def concurrence_x(rho) -> XConcurrence:
     """Closed-form concurrence of an X-form state, with both branches.
 
-    Raises NotXForm when any off-pattern entry exceeds the X budget.
+    Raises NotXForm when any off-pattern entry of a state exceeds the X
+    budget.
     """
-    leak = x_leakage(rho)
-    if leak > X_FORM_TOL:
-        raise NotXForm(f"off-pattern magnitude {leak:.3e} exceeds {X_FORM_TOL:.3e}")
+    bad = _first_above(x_leakage(rho), X_FORM_TOL)
+    if bad:
+        raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
     c = x_components(rho)
-    c1 = abs(c.rho23) - math.sqrt(max(c.rho11, 0.0) * max(c.rho44, 0.0))
-    c2 = abs(c.rho14) - math.sqrt(max(c.rho22, 0.0) * max(c.rho33, 0.0))
-    return XConcurrence(2.0 * max(c1, c2, 0.0), c1, c2)
+    c1 = magnitude(c.rho23) - np.sqrt(np.maximum(c.rho11, 0.0) * np.maximum(c.rho44, 0.0))
+    c2 = magnitude(c.rho14) - np.sqrt(np.maximum(c.rho22, 0.0) * np.maximum(c.rho33, 0.0))
+    conc = 2.0 * np.maximum(np.maximum(c1, c2), 0.0)
+    return XConcurrence(per_state(conc), per_state(c1), per_state(c2))
 
 
 @dataclass(frozen=True)
@@ -131,7 +161,7 @@ def two_qubit_rotation(rot: BasisRotation) -> np.ndarray:
     return np.kron(u, u)
 
 
-def l1_coherence(rho, rotation: BasisRotation | None = None) -> float:
+def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarray:
     """Sum of off-diagonal entry magnitudes, optionally in a rotated basis.
 
     For an X state in the unrotated basis this is 2|rho23| + 2|rho14|.
@@ -141,19 +171,20 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float:
         u = two_qubit_rotation(rotation)
         r = u @ r @ u.conj().T
     a = np.abs(r)
-    np.fill_diagonal(a, 0.0)
-    return float(a.sum())
+    n = a.shape[-1]
+    a[..., range(n), range(n)] = 0.0
+    return per_state(a.sum(axis=(-2, -1)))
 
 
 def _density_eig(rho):
     r = np.asarray(rho, dtype=complex)
-    defect = hermiticity_defect(r)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"state hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
+    if bad:
+        raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
     p, v = np.linalg.eigh(r)
-    low = float(p.min())
-    if low < -EIG_CLAMP:
-        raise NotPositive(low)
+    bad = _first_above(-p[..., 0], EIG_CLAMP)
+    if bad:
+        raise NotPositive(-bad[1], bad[0])
     p = np.where(p < 0.0, 0.0, p)
     return p, v
 
@@ -191,25 +222,29 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
 
     M_lk = sum over pairs of 2 p_i p_j / (p_i + p_j)
            <i|sigma_l x I|j><j|sigma_k x I|i>; the i = j terms carry weight
-    p_i and are included only for the corrected measure.
+    p_i and are included only for the corrected measure. A stack of
+    decompositions (p[T, 4], v[T, 4, 4]) gives M[T, 3, 3].
     """
-    a = np.einsum('mi,lmn,nj->lij', v.conj(), _LOCAL_OBS, v)
-    psum = p[:, None] + p[None, :]
+    # <i|A_l|j>, contracted one operand at a time: a single three-operand
+    # einsum loops over all of them at once and is several times slower
+    a = np.einsum('...lmj,...mi->...lij', np.einsum('lmn,...nj->...lmj', _LOCAL_OBS, v), v.conj())
+    psum = p[..., :, None] + p[..., None, :]
     w = np.zeros_like(psum)
     mask = psum > PAIR_EPS
-    w[mask] = 2.0 * (p[:, None] * p[None, :])[mask] / psum[mask]
+    w[mask] = 2.0 * (p[..., :, None] * p[..., None, :])[mask] / psum[mask]
     if not include_diagonal:
-        np.fill_diagonal(w, 0.0)
-    m = np.einsum('ij,lij,kij->lk', w, a, a.conj())
+        n = w.shape[-1]
+        w[..., range(n), range(n)] = 0.0
+    m = np.einsum('...ij,...lij,...kij->...lk', w, a, a.conj())
     # M is real for Hermitian local observables
-    residue = float(np.max(np.abs(m.imag)))
-    if residue > HERMITIAN_TOL:
-        raise NotHermitian(f"M matrix imaginary residue {residue:.3e} exceeds "
+    bad = _first_above(np.max(np.abs(m.imag), axis=(-2, -1)), HERMITIAN_TOL)
+    if bad:
+        raise NotHermitian(f"M matrix imaginary residue {bad[1]:.3e} exceeds "
                            f"{HERMITIAN_TOL:.0e}: local observables are not Hermitian")
     return m.real
 
 
-def lqfi(rho) -> float:
+def lqfi(rho) -> float | np.ndarray:
     """Local quantum Fisher information, Q = 1 - lambda_max(M).
 
     Full double sum (diagonal included), which makes Q equal the minimum of
@@ -218,10 +253,10 @@ def lqfi(rho) -> float:
     """
     p, v = _density_eig(rho)
     m = _m_matrix(p, v, include_diagonal=True)
-    return float(1.0 - np.linalg.eigvalsh(m)[-1])
+    return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
 
 
-def lqfi_paper_variant(rho) -> float:
+def lqfi_paper_variant(rho) -> float | np.ndarray:
     """LQFI with the i = j terms dropped from the double sum.
 
     Kept for comparison: on rank-deficient states this overestimates Q
@@ -230,7 +265,7 @@ def lqfi_paper_variant(rho) -> float:
     """
     p, v = _density_eig(rho)
     m = _m_matrix(p, v, include_diagonal=False)
-    return float(1.0 - np.linalg.eigvalsh(m)[-1])
+    return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
 
 
 def lqfi_bruteforce(rho) -> float:
@@ -250,7 +285,7 @@ def lqfi_bruteforce(rho) -> float:
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """All scalar measures evaluated on one state."""
+    """All scalar measures of one state (floats) or of a stack (arrays)."""
 
     concurrence: float
     c1_branch: float
@@ -260,7 +295,7 @@ class MeasureSet:
 
 
 def evaluate_measures(rho) -> MeasureSet:
-    """Bundle the X-state measures for one state (used per CSV row)."""
+    """Bundle the X-state measures of one state or of a (T, 4, 4) stack."""
     xc = concurrence_x(rho)
     return MeasureSet(
         concurrence=xc.concurrence,

@@ -5,10 +5,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinchain
-from spinchain import IntegratorConfig, ModelParams, evolve, initial_state
+from spinchain import (
+    BasisRotation,
+    IntegratorConfig,
+    ModelParams,
+    evaluate_measures,
+    evolve,
+    initial_state,
+    l1_coherence,
+    record_from_state,
+)
 from spinchain.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -19,6 +29,7 @@ from spinchain.cli import (
     parse_config_file,
     scenario_from_entries,
     scenario_rows,
+    write_csv,
 )
 
 BASE_CONF = """\
@@ -183,6 +194,59 @@ def test_sector_mixture_averages_sectors(conf):
         blend = (0.25 * by_mu[1][k][1] + 0.5 * by_mu[0][k][1] + 0.25 * by_mu[-1][k][1])
         assert row[header.index("rho11")] == pytest.approx(blend[0, 0].real, abs=1e-14)
         assert row[header.index("abs_rho14")] == pytest.approx(abs(blend[0, 3]), abs=1e-14)
+
+
+def _per_state_rows(cfg):
+    """CSV_COLUMNS of cfg's samples, one single-state call at a time."""
+    icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
+    rho0 = initial_state(cfg.params.theta)
+    if cfg.mode == "single-sector":
+        samples = evolve(rho0, cfg.params, icfg)
+    else:
+        sectors = [(w, evolve(rho0, replace(cfg.params, mu=mu), icfg))
+                   for mu, w in ((1, 0.25), (0, 0.5), (-1, 0.25))]
+        samples = [(t, sum(w * seq[k][1] for w, seq in sectors))
+                   for k, (t, _) in enumerate(sectors[0][1])]
+    rotation = None if cfg.phi is None else BasisRotation(cfg.phi, cfg.varphi or 0.0)
+    rows = []
+    for t, rho in samples:
+        rec = record_from_state(t, rho)
+        ms = evaluate_measures(rho)
+        rows.append([
+            rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44, rec.abs_rho14, rec.abs_rho23,
+            ms.concurrence, ms.c1_branch, ms.c2_branch, ms.l1_coherence,
+            ms.l1_coherence if rotation is None else l1_coherence(rho, rotation),
+            ms.lqfi, rec.trace_dev, rec.min_eig,
+        ])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("extra", [
+    {"phi": 0.7, "varphi": 1.1, "dt": 0.01, "record_every": 1},
+    {"mode": "sector-mixture", "compare_j0_zero": True, "theta": 0.3, "record_every": 20},
+])
+def test_scenario_table_matches_per_state_evaluation(conf, extra):
+    entries = parse_config_file(conf)
+    entries.update({"t_max": 4.0, **extra})
+    cfg = scenario_from_entries(entries)
+    header, table = scenario_rows(cfg)
+    expected = _per_state_rows(cfg)
+    if cfg.compare_j0_zero:
+        reference = _per_state_rows(replace(cfg, params=replace(cfg.params, J0=0.0)))
+        expected = np.hstack([expected, reference[:, 1:]])
+    assert table.shape == expected.shape == (len(expected), len(header))
+    assert np.abs(table - expected).max() <= 1e-13
+
+
+def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
+    header = ["a", "b", "c", "d"]
+    rows = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+    rows[3] = [-0.0, 5e-324, 1e-300, 1e300]
+    rows[7] = [0.0, -5e-324, -1e300, 1.0]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    expected = "".join(",".join(map(format_csv_value, row)) + "\n" for row in rows.tolist())
+    assert path.read_bytes() == (",".join(header) + "\n" + expected).encode("ascii")
 
 
 def test_evolve_plot_flag_writes_svg(conf, tmp_path):

@@ -22,7 +22,7 @@ from spinchain import (
     x_components,
     x_leakage,
 )
-from spinchain.dynamics import hermiticity_defect, max_abs
+from spinchain.dynamics import TimeSeriesRecord, hermiticity_defect, max_abs
 
 
 # --- structure helpers ------------------------------------------------------
@@ -322,3 +322,20 @@ def test_record_from_state_fields():
     assert rec.abs_rho14 == 0.0
     assert rec.trace_dev < 1e-15
     assert rec.min_eig == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("draw", [random_x_state, random_density])
+def test_stacked_records_match_single_state_calls(draw, rng):
+    stack = np.array([draw(rng) for _ in range(50)])
+    times = np.linspace(0.0, 4.9, 50)
+    rec = record_from_state(times, stack)
+    leak = x_leakage(stack)
+    defect = hermiticity_defect(stack)
+    assert leak.shape == defect.shape == (50,)
+    for k, rho in enumerate(stack):
+        one = record_from_state(times[k], rho)
+        assert isinstance(one.min_eig, float)
+        for field in TimeSeriesRecord.__dataclass_fields__:
+            assert abs(getattr(rec, field)[k] - getattr(one, field)) <= 1e-15
+        assert leak[k] == x_leakage(rho)
+        assert defect[k] == hermiticity_defect(rho)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from spinchain import (
     two_qubit_rotation,
 )
 from spinchain.dynamics import max_abs
-from spinchain.measures import _LOCAL_OBS, _m_matrix
+from spinchain.measures import _LOCAL_OBS, NotPositive, _density_eig, _m_matrix
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -288,3 +289,81 @@ def test_evaluate_measures_bundles_routes(rng):
         assert ms.c2_branch == xc.c2_branch
         assert ms.l1_coherence == l1_coherence(rho)
         assert ms.lqfi == lqfi(rho)
+
+
+# --- stacks of states -----------------------------------------------------------
+
+STACKED_MEASURES = [l1_coherence, partial(l1_coherence, rotation=BasisRotation(0.4, 1.3)),
+                    lqfi, lqfi_paper_variant]
+
+
+@pytest.mark.parametrize("draw", [random_x_state, random_density])
+def test_stacked_measures_match_single_state_calls(draw, rng):
+    stack = np.array([draw(rng) for _ in range(50)])
+    for measure in STACKED_MEASURES:
+        values = measure(stack)
+        assert values.shape == (50,)
+        assert np.abs(values - [measure(rho) for rho in stack]).max() <= 1e-15
+
+
+def test_stacked_x_measures_match_single_state_calls(rng):
+    stack = np.array([random_x_state(rng) for _ in range(50)])
+    xc = concurrence_x(stack)
+    ms = evaluate_measures(stack)
+    for k, rho in enumerate(stack):
+        one = concurrence_x(rho)
+        assert isinstance(one.concurrence, float)
+        for field in one._fields:
+            assert abs(getattr(xc, field)[k] - getattr(one, field)) <= 1e-15
+        single = evaluate_measures(rho)
+        for field in ("concurrence", "c1_branch", "c2_branch", "l1_coherence", "lqfi"):
+            assert abs(getattr(ms, field)[k] - getattr(single, field)) <= 1e-15
+
+
+def test_stack_guards_fire_on_one_bad_element(rng):
+    stack = np.array([random_x_state(rng) for _ in range(20)])
+    off_pattern = stack.copy()
+    off_pattern[7, 0, 1] = off_pattern[7, 1, 0] = 1e-6
+    with pytest.raises(NotXForm, match="1.000e-06"):
+        concurrence_x(off_pattern)
+    skewed = stack.copy()
+    skewed[11, 0, 3] += 1e-6
+    with pytest.raises(NotHermitian, match="state hermiticity defect 1.000e-06"):
+        lqfi(skewed)
+
+
+def test_not_positive_names_the_earliest_offender(rng):
+    stack = np.array([random_x_state(rng) for _ in range(20)])
+    stack[5] = np.diag([1.0 + 3e-9, -3e-9, 0.0, 0.0])
+    stack[12] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])  # more negative, but later
+    for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
+        with pytest.raises(NotPositive) as err:
+            measure(stack)
+        assert err.value.index == 5
+        assert err.value.min_eig == pytest.approx(-3e-9, rel=1e-6)
+
+
+def test_m_residue_guard_fires_on_one_bad_element(monkeypatch, rng):
+    # with sigma+ x I in place of sigma_x x I, M of a computational basis state
+    # stays real, while M of a generic state does not
+    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    bad = _LOCAL_OBS.copy()
+    bad[0] = np.kron(sigma_plus, IDENTITY_2)
+    monkeypatch.setattr("spinchain.measures._LOCAL_OBS", bad)
+    stack = np.array([np.diag(np.eye(4)[k % 4]).astype(complex) for k in range(12)])
+    lqfi(stack)
+    stack[9] = random_density(rng)
+    with pytest.raises(NotHermitian, match="M matrix"):
+        lqfi(stack)
+
+
+def test_m_matrix_is_block_diagonal_on_x_states(rng):
+    # sigma_z x I keeps the two X blocks and sigma_x x I, sigma_y x I swap them,
+    # so the xz and yz couplings vanish up to the rounding of the eigenvectors
+    p, v = _density_eig(np.array([random_x_state(rng) for _ in range(50)]))
+    m = _m_matrix(p, v, include_diagonal=True)
+    assert m.shape == (50, 3, 3)
+    assert np.abs(m[:, [0, 1], 2]).max() < 1e-14
+    assert np.abs(m[:, 2, [0, 1]]).max() < 1e-14
+    p, v = _density_eig(np.array([random_density(rng) for _ in range(50)]))
+    assert np.abs(_m_matrix(p, v, include_diagonal=True)[:, [0, 1], 2]).max() > 1e-3
