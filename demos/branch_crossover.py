@@ -14,20 +14,18 @@ from spinchain import IntegratorConfig, ModelParams, evaluate_measures, evolve, 
 
 p = ModelParams(theta=math.pi / 4)
 cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
-series = evolve(initial_state(p.theta), p, cfg)
+times, states = evolve(initial_state(p.theta), p, cfg)
+ms = evaluate_measures(states)  # one array per measure over the whole trajectory
 
 previous = None
-for t, rho in series:
-    ms = evaluate_measures(rho)
-    if ms.concurrence == 0.0:
+for t, conc, c1, c2 in zip(times, ms.concurrence, ms.c1_branch, ms.c2_branch):
+    if conc == 0.0:
         leader = None
     else:
-        leader = "c1" if ms.c1_branch >= ms.c2_branch else "c2"
+        leader = "c1" if c1 >= c2 else "c2"
     if leader != previous:
         if leader is None:
-            print(f"t = {t:6.2f}  entanglement gone "
-                  f"(c1 = {ms.c1_branch:+.4f}, c2 = {ms.c2_branch:+.4f})")
+            print(f"t = {t:6.2f}  entanglement gone (c1 = {c1:+.4f}, c2 = {c2:+.4f})")
         else:
-            print(f"t = {t:6.2f}  {leader} leads "
-                  f"(c1 = {ms.c1_branch:+.4f}, c2 = {ms.c2_branch:+.4f})")
+            print(f"t = {t:6.2f}  {leader} leads (c1 = {c1:+.4f}, c2 = {c2:+.4f})")
         previous = leader

@@ -11,6 +11,8 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
+
 from spinchain import IntegratorConfig, ModelParams, evaluate_measures, evolve, initial_state
 from spinchain.cli import detect_events
 from spinchain.plotting import emit_plot
@@ -20,13 +22,14 @@ OUT.mkdir(exist_ok=True)
 
 cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
 
-columns = {"t": []}
-for theta, label in ((0.0, "theta_0"), (math.pi / 4, "theta_pi4")):
-    p = ModelParams(theta=theta)
-    series = evolve(initial_state(theta), p, cfg)
-    values = [evaluate_measures(rho).concurrence for _, rho in series]
-    if not columns["t"]:
-        columns["t"] = [t for t, _ in series]
+thetas = (0.0, math.pi / 4)
+# both starts in one call: one parameter point and one initial state each
+times, runs = evolve(np.stack([initial_state(theta) for theta in thetas]),
+                     [ModelParams(theta=theta) for theta in thetas], cfg)
+
+columns = {"t": times.tolist()}
+for theta, label, states in zip(thetas, ("theta_0", "theta_pi4"), runs):
+    values = evaluate_measures(states).concurrence.tolist()
     columns[label] = values
 
     events = detect_events(columns["t"], values)
@@ -35,10 +38,11 @@ for theta, label in ((0.0, "theta_0"), (math.pi / 4, "theta_pi4")):
         print(f"  {kind} at t = {t:.3f}")
 
 csv_path = OUT / "death_and_revival.csv"
+rows = list(zip(*columns.values()))
 with open(csv_path, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(columns.keys())
-    writer.writerows(zip(*columns.values()))
+    writer.writerows(rows)
 
-emit_plot(csv_path, ["theta_0", "theta_pi4"], OUT / "death_and_revival.svg")
+emit_plot(list(columns), rows, ["theta_0", "theta_pi4"], OUT / "death_and_revival.svg")
 print(f"wrote {csv_path} and the matching SVG")

@@ -17,23 +17,20 @@ OUT.mkdir(exist_ok=True)
 
 p = ModelParams()
 cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
-series = evolve(initial_state(p.theta), p, cfg)
+times, states = evolve(initial_state(p.theta), p, cfg)
+ms = evaluate_measures(states)  # one array per measure over the whole trajectory
 
-rows = []
-floor = 1.0
-for t, rho in series:
-    ms = evaluate_measures(rho)
-    rows.append([t, ms.concurrence, ms.lqfi])
-    if ms.concurrence == 0.0:
-        floor = min(floor, ms.lqfi)
+rows = [[t, c, q] for t, c, q in zip(times.tolist(), ms.concurrence.tolist(), ms.lqfi.tolist())]
+floor = min([1.0] + ms.lqfi[ms.concurrence == 0.0].tolist())
 
 print(f"smallest LQFI over the zero-concurrence windows: {floor:.4f}")
 
 csv_path = OUT / "lqfi_vs_concurrence.csv"
+header = ["t", "concurrence", "lqfi"]
 with open(csv_path, "w", newline="") as fh:
     writer = csv.writer(fh)
-    writer.writerow(["t", "concurrence", "lqfi"])
+    writer.writerow(header)
     writer.writerows(rows)
 
-emit_plot(csv_path, ["concurrence", "lqfi"], OUT / "lqfi_vs_concurrence.svg")
+emit_plot(header, rows, ["concurrence", "lqfi"], OUT / "lqfi_vs_concurrence.svg")
 print(f"wrote {csv_path} and the matching SVG")

@@ -21,7 +21,7 @@ from spinchain import (
 
 p = ModelParams()
 cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=5000)
-rho = evolve(initial_state(p.theta), p, cfg)[-1][1]
+rho = evolve(initial_state(p.theta), p, cfg)[1][-1]
 
 print(f"state at t = 5, plain l1 coherence: {l1_coherence(rho):.4f}")
 print(f"{'phi':>8} {'varphi':>8} {'l1':>8}")

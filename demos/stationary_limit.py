@@ -29,7 +29,7 @@ print(f"generator applied to the limit: max entry {np.abs(rhs).max():.2e}")
 
 cfg = IntegratorConfig(dt=1e-3, t_max=60.0, record_every=60000)
 for theta in (0.0, math.pi / 3):
-    final = evolve(initial_state(theta), p, cfg)[-1][1]
+    final = evolve(initial_state(theta), p, cfg)[1][-1]
     print(f"theta = {theta:.3f}: distance to the limit after t = 60 is "
           f"{np.abs(final - ss).max():.2e}")
 

@@ -5,6 +5,11 @@ every key has a matching command-line flag and flags override file values.
 Outputs are deterministic: CSV with 17 significant digits and LF line
 endings, SVG charts with fixed formatting. Exit codes: 0 ok, 1 validation
 failure, 2 config error, 3 numeric instability.
+
+An `evolve` or `sweep` run integrates every trajectory it needs (sweep
+points, mixture sectors, J0 = 0 references) in one `evolve` call, measures
+one point's stack at a time into one preallocated table, streams that
+table to the CSV in blocks of rows, and plots it from memory.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -42,13 +48,16 @@ from .measures import (
     lqfi_paper_variant,
 )
 from .model import ModelParams, derived_scales, hamiltonian_block, initial_state, jump_operators
-from .plotting import EmptyData, UnknownColumn, emit_plot
+from .plotting import EmptyData, UnknownColumn, emit_plot, read_csv
 
 CSV_COLUMNS = [
     "t", "rho11", "rho22", "rho33", "rho44", "abs_rho14", "abs_rho23",
     "concurrence", "c1_branch", "c2_branch", "l1_coherence", "l1_rotated",
     "lqfi", "trace_dev", "min_eig",
 ]
+
+# write_csv formats and writes this many rows at a time
+_CSV_BLOCK = 1024
 
 # a run of at least _DEAD_RUN samples below _DEAD_BELOW is a dead interval
 _DEAD_BELOW = 1e-9
@@ -167,62 +176,94 @@ def _rotation_of(cfg: ScenarioConfig) -> BasisRotation | None:
     return BasisRotation(phi=cfg.phi or 0.0, varphi=cfg.varphi or 0.0)
 
 
-def _stacked(series) -> tuple[np.ndarray, np.ndarray]:
-    """(times[T], states[T, 4, 4]) of a list of (t, rho) samples."""
-    return np.array([t for t, _ in series]), np.array([rho for _, rho in series])
+def _measured_tables(cfg: ScenarioConfig, points: Sequence[ModelParams],
+                     rotation: BasisRotation | None) -> Iterator[np.ndarray]:
+    """The (T, 15) table of CSV_COLUMNS of each model point, in order.
 
-
-def _scenario_states(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
-    rho0 = initial_state(cfg.params.theta)
-    if cfg.mode == "single-sector":
-        return _stacked(evolve(rho0, cfg.params, icfg))
-    # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
-    (times, plus), (_, zero), (_, minus) = (
-        _stacked(evolve(rho0, replace(cfg.params, mu=mu), icfg)) for mu in (1, 0, -1))
-    return times, 0.25 * plus + 0.5 * zero + 0.25 * minus
-
-
-def _measured_rows(cfg: ScenarioConfig, rotation: BasisRotation | None) -> np.ndarray:
-    """The (T, 15) table of CSV_COLUMNS over the integrated states.
+    Every point, or in sector-mixture mode each of its three sectors, is
+    integrated in one `evolve` call; then each point's (T, 4, 4) stack is
+    measured on its own. The guards fire as in a point-by-point run: when
+    a point is unstable, the points before it are measured first, so a
+    positivity loss among them is still the one reported. A StepUnstable
+    carries the failing point's `index`.
 
     RK4 does not keep positivity, so a coarse but stable dt can leave a
     recorded state with an eigenvalue below -EIG_CLAMP; that is an
     integration failure, not a bad input.
     """
-    times, states = _scenario_states(cfg)
-    rec = record_from_state(times, states)
+    if not points:
+        return
+    icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
+    # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
+    mus = (None,) if cfg.mode == "single-sector" else (1, 0, -1)
+    runs = [p if mu is None else replace(p, mu=mu) for p in points for mu in mus]
     try:
-        ms = evaluate_measures(states)
-    except NotPositive as exc:
-        raise StepUnstable(
-            f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} below "
-            f"-{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt") from exc
-    l1_rot = ms.l1_coherence if rotation is None else l1_coherence(states, rotation)
-    return np.column_stack([
-        rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
-        rec.abs_rho14, rec.abs_rho23,
-        ms.concurrence, ms.c1_branch, ms.c2_branch,
-        ms.l1_coherence, l1_rot, ms.lqfi,
-        rec.trace_dev, rec.min_eig,
-    ])
+        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
+    except StepUnstable as exc:
+        exc.index //= len(mus)
+        yield from _measured_tables(cfg, points[:exc.index], rotation)
+        raise
+    for index in range(len(points)):
+        if len(mus) == 1:
+            point = states[index]
+        else:
+            plus, zero, minus = states[3 * index:3 * index + 3]
+            point = 0.25 * plus + 0.5 * zero + 0.25 * minus
+        try:
+            ms = evaluate_measures(point)
+        except NotPositive as exc:
+            raise StepUnstable(
+                f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
+                f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
+                index) from exc
+        rec = record_from_state(times, point, ms.min_eig)
+        l1_rot = ms.l1_coherence if rotation is None else l1_coherence(point, rotation)
+        yield np.column_stack([
+            rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
+            rec.abs_rho14, rec.abs_rho23,
+            ms.concurrence, ms.c1_branch, ms.c2_branch,
+            ms.l1_coherence, l1_rot, ms.lqfi,
+            rec.trace_dev, rec.min_eig,
+        ])
 
 
-def scenario_rows(cfg: ScenarioConfig) -> tuple[list[str], np.ndarray]:
-    """Evaluate one scenario into a CSV header and a (T, columns) float table.
+def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]] | None = None
+                  ) -> tuple[list[str], np.ndarray]:
+    """Evaluate one scenario into a CSV header and a (rows, columns) float table.
 
     With compare_j0_zero the same scenario is re-run at J0 = 0 and every
-    non-time column is appended again with a ``_ref`` suffix.
+    non-time column is appended again with a ``_ref`` suffix. `sweep`
+    holds (value, ModelParams) points that replace cfg.params: the table
+    then stacks one block of rows per point, in order, behind a leading
+    ``sweep_value`` column, and a StepUnstable carries the `index` of the
+    point that failed. Every run, references included, is integrated in
+    one `evolve` call, and the blocks fill one preallocated table.
     """
-    rotation = _rotation_of(cfg)
-    header = list(CSV_COLUMNS)
-    rows = _measured_rows(cfg, rotation)
+    values, points = zip(*sweep) if sweep else ((), (cfg.params,))
+    lead = 1 if sweep else 0
+    header = ["sweep_value"] * lead + list(CSV_COLUMNS)
+    measured = list(points)
     if cfg.compare_j0_zero:
-        ref_cfg = replace(cfg, params=replace(cfg.params, J0=0.0), compare_j0_zero=False)
-        ref_rows = _measured_rows(ref_cfg, rotation)
         header += [name + "_ref" for name in CSV_COLUMNS[1:]]
-        rows = np.hstack([rows, ref_rows[:, 1:]])
-    return header, rows
+        measured = [q for p in points for q in (p, replace(p, J0=0.0))]
+    per_point = len(measured) // len(points)
+    table = None
+    try:
+        for i, rows in enumerate(_measured_tables(cfg, measured, _rotation_of(cfg))):
+            point, is_ref = divmod(i, per_point)
+            if table is None:
+                table = np.empty((len(points) * len(rows), len(header)))
+            block = table[point * len(rows):(point + 1) * len(rows)]
+            if is_ref:
+                block[:, lead + len(CSV_COLUMNS):] = rows[:, 1:]
+            else:
+                block[:, lead:lead + len(CSV_COLUMNS)] = rows
+            if sweep:
+                block[:, 0] = values[point]
+    except StepUnstable as exc:
+        exc.index //= per_point
+        raise
+    return header, table
 
 
 def format_csv_value(x) -> str:
@@ -231,11 +272,18 @@ def format_csv_value(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows with 17 significant digits and LF endings (byte stable)."""
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    """Write rows with 17 significant digits and LF endings (byte stable).
+
+    Rows are formatted and written in blocks of _CSV_BLOCK, one format
+    string per block, so the file is never held whole as text.
+    """
+    rows = np.asarray(rows, dtype=float)
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            fh.write(((row_format * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
 def detect_events(times, values) -> list[Event]:
@@ -294,7 +342,7 @@ def run_evolve(cfg: ScenarioConfig, out_path=None) -> int:
         print(f"{ev.kind} at t = {format(ev.t, '.6g')}")
     if cfg.plot:
         svg = path.with_suffix(".svg")
-        emit_plot(path, ["concurrence", "l1_coherence", "lqfi"], svg)
+        emit_plot(header, rows, ["concurrence", "l1_coherence", "lqfi"], svg)
         print(f"wrote {svg}")
     return 0
 
@@ -305,34 +353,30 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         raise ConfigError(f"sweep parameter must be one of {_PARAM_KEYS}, got {param!r}")
     if count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {count}")
-    values = np.linspace(start, stop, count)
-    point_cfgs = []
-    for v in values:
+    sweep = []
+    for v in np.linspace(start, stop, count):
         value = v
         if param == "mu":
             if abs(v - round(v)) > 1e-12:
                 raise ConfigError(f"mu sweep values must be integers, got {v!r}")
             value = int(round(v))
         try:
-            point_cfgs.append(replace(cfg, params=replace(cfg.params, **{param: value})))
+            sweep.append((float(value), replace(cfg.params, **{param: value})))
         except ValueError as exc:
             raise ConfigError(f"sweep value {param}={value!r}: {exc}") from exc
 
-    blocks = []
-    for value, point_cfg in zip(values, point_cfgs):
-        try:
-            header, point_rows = scenario_rows(point_cfg)
-        except StepUnstable as exc:
-            raise StepUnstable(f"sweep point {param}={float(value):g}: {exc}") from exc
-        blocks.append(np.column_stack([np.full(len(point_rows), float(value)), point_rows]))
+    try:
+        header, rows = scenario_rows(cfg, sweep)
+    except StepUnstable as exc:
+        raise StepUnstable(f"sweep point {param}={sweep[exc.index][0]:g}: {exc}") from exc
     path = Path(out_path or cfg.output_path or "sweep.csv")
-    write_csv(path, ["sweep_value"] + header, np.vstack(blocks))
-    print(f"wrote {path} ({count} values of {param} x {len(point_rows)} samples)")
+    write_csv(path, header, rows)
+    print(f"wrote {path} ({count} values of {param} x {len(rows) // count} samples)")
     return 0
 
 
 def run_plot(csv_path, columns: list[str], out_path) -> int:
-    emit_plot(csv_path, columns, out_path)
+    emit_plot(*read_csv(csv_path), columns, out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -419,13 +463,12 @@ def run_validate(quick: bool = False, dt: float | None = None,
             p = ModelParams(theta=theta, mu=mu, gamma=base_gamma)
             cfg = IntegratorConfig(dt=dt, t_max=t_max, record_every=10)
             try:
-                series = evolve(initial_state(theta), p, cfg)
+                times, states = evolve(initial_state(theta), p, cfg)
             except StepUnstable as exc:
                 blew_up = str(exc)
                 break
-            for t, rho in series:
+            for t, rho in zip(times.tolist(), states):
                 worst = max(worst, max_abs(rho - analytic_state(p, t)))
-            times, states = _stacked(series)
             rec = record_from_state(times, states)
             worst_tr = max(worst_tr, float(np.max(rec.trace_dev)))
             worst_eig = min(worst_eig, float(np.min(rec.min_eig)))

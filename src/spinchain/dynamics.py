@@ -29,6 +29,12 @@ identities every RK4 step keeps, trace and Hermiticity, are kept exact in
 the propagation too, so that the rounding of the one matrix applied at
 every sample cannot accumulate in them.
 
+`evolve` returns arrays, (times[T], states[..., T, 4, 4]). Given a
+sequence of N parameter points (a sweep, the sectors of a mixture) it
+builds the (N, 16, 16) propagators, gates each for stability, and steps
+all N in one loop of stacked matrix-vector products, so each point's
+states are bit for bit those of its own call.
+
 The per-sample helpers (`x_components`, `x_leakage`, `hermiticity_defect`,
 `record_from_state`) take one 4x4 state or a (T, 4, 4) stack of states and
 return floats for one state and length-T arrays for a stack, so a whole
@@ -38,6 +44,7 @@ trajectory is reduced in one call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,8 +76,14 @@ class StepUnstable(RuntimeError):
     """dt lies outside the RK4 stability region of the generator.
 
     Raised by `evolve` before it integrates, when the amplification factor
-    (spectral radius) of a step matrix exceeds 1 or is not finite.
+    (spectral radius) of a step matrix exceeds 1 or is not finite. `index`
+    is the position of the failing point among those integrated together
+    (0 for a single one).
     """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class SingularScale(ValueError):
@@ -222,36 +235,49 @@ def _liouvillian(h, pre) -> np.ndarray:
 
 
 def _rk4_step(gen: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of length h for v' = gen v, as a matrix."""
+    """One classical RK4 step of length h for v' = gen v, as a matrix (per matrix of a stack)."""
     a = h * gen
-    eye = np.eye(len(a), dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-def _check_stable(step: np.ndarray, h: float, cfg: IntegratorConfig) -> None:
-    radius = math.inf
-    if np.all(np.isfinite(step)):
-        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
-    if not radius <= 1.0 + _RADIUS_TOL:
-        raise StepUnstable(
-            f"RK4 amplification factor {radius:.6g} > 1 for a step of {h:g} "
-            f"(dt={cfg.dt:g}): the run over t=0..{cfg.t_max:g} would diverge; reduce dt")
+def _spectral_radii(steps: np.ndarray) -> np.ndarray:
+    """Spectral radius of each matrix of a stack; inf where one is not finite."""
+    radii = np.full(len(steps), math.inf)
+    finite = np.all(np.isfinite(steps), axis=(-2, -1))
+    if finite.any():
+        radii[finite] = np.max(np.abs(np.linalg.eigvals(steps[finite])), axis=-1)
+    return radii
+
+
+def _check_stable(checks: list[tuple[np.ndarray, float]], cfg: IntegratorConfig) -> None:
+    """Raise StepUnstable for the first point with a step matrix of radius above 1.
+
+    `checks` holds (steps[N, 16, 16], h) pairs in the order one point applies them.
+    """
+    radii = [_spectral_radii(steps) for steps, _ in checks]
+    for index, point_radii in enumerate(zip(*radii)):
+        for (_, h), radius in zip(checks, point_radii):
+            if not radius <= 1.0 + _RADIUS_TOL:
+                raise StepUnstable(
+                    f"RK4 amplification factor {radius:.6g} > 1 for a step of {h:g} "
+                    f"(dt={cfg.dt:g}): the run over t=0..{cfg.t_max:g} would diverge; reduce dt",
+                    index)
 
 
 def _keep_hermitian(m: np.ndarray) -> np.ndarray:
     """m made to map Hermitian matrices to Hermitian ones exactly, as RK4 does."""
-    return 0.5 * (m + m[np.ix_(_TRANSPOSED, _TRANSPOSED)].conj())
+    return 0.5 * (m + m[..., _TRANSPOSED[:, None], _TRANSPOSED].conj())
 
 
-def _advance(m: np.ndarray, v: np.ndarray, trace: complex) -> np.ndarray:
-    """m @ v, with rho44 set from the trace, which every RK4 step keeps exactly.
+def _advance(m: np.ndarray, v: np.ndarray, out: np.ndarray, trace: np.ndarray) -> None:
+    """out = m @ v per point, with rho44 set from the trace, which every RK4 step keeps exactly.
 
     The same rounded matrix is applied at every sample, so its rounding
     would otherwise move the trace by the same amount each time.
     """
-    v = m @ v
-    v[15] = trace - v[0] - v[5] - v[10]
-    return v
+    np.matmul(m, v[..., None], out=out[..., None])
+    out[..., 15] = trace - out[..., 0] - out[..., 5] - out[..., 10]
 
 
 def _step_split(t_max: float, dt: float) -> tuple[int, float]:
@@ -264,45 +290,73 @@ def _step_split(t_max: float, dt: float) -> tuple[int, float]:
     return n_steps, t_max - n_steps * dt
 
 
-def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
-           ) -> list[tuple[float, np.ndarray]]:
+def _initial_states(rho0, n: int) -> np.ndarray:
+    """The validated (n, 4, 4) initial states: one state shared, or one per point."""
+    r = np.asarray(rho0, dtype=complex)
+    if r.ndim == 2:
+        return np.broadcast_to(validate_density(r), (n, 4, 4))
+    if r.shape[0] != n:
+        raise ValueError(f"{r.shape[0]} initial states for {n} parameter points")
+    return np.stack([validate_density(one) for one in r])
+
+
+def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the master equation from `rho0` with fixed-step RK4.
 
     The RK4 step is applied as a precomputed 16x16 propagator. Returns
-    [(t, rho)] at t = 0, every `cfg.record_every` steps, and t = `cfg.t_max`.
-    When t_max is not a whole number of steps, one exact RK4 step of the
-    remaining length ends the run at t_max. Raises StepUnstable before
-    integrating when the spectral radius of a step matrix that the run
-    applies exceeds 1 + 1e-12 or is not finite.
+    (times[T], states) sampled at t = 0, every `cfg.record_every` steps,
+    and t = `cfg.t_max`. When t_max is not a whole number of steps, one
+    exact RK4 step of the remaining length ends the run at t_max.
+
+    `p` is one ModelParams, giving states[T, 4, 4], or a sequence of N,
+    giving states[N, T, 4, 4]: the N propagators are built and stepped
+    together, and each point's states are bit for bit those of its own
+    call. `rho0` is one 4x4 state, shared by every point, or an (N, 4, 4)
+    stack with one per point.
+
+    Raises StepUnstable before integrating when the spectral radius of a
+    step matrix that the run applies exceeds 1 + 1e-12 or is not finite;
+    its `index` is the first such point.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    rho = validate_density(rho0)
-    gen = _liouvillian(hamiltonian_block(p), _precompute_jumps(jump_operators(p)))
+    points = [p] if isinstance(p, ModelParams) else list(p)
+    if not points:
+        raise ValueError("evolve needs at least one ModelParams")
+    rho = _initial_states(rho0, len(points))
+    gen = np.stack([_liouvillian(hamiltonian_block(q), _precompute_jumps(jump_operators(q)))
+                    for q in points])
     dt, every = cfg.dt, int(cfg.record_every)
     n_steps, tail = _step_split(cfg.t_max, dt)
     step = _rk4_step(gen, dt)
-    if n_steps:
-        _check_stable(step, dt, cfg)
-    last = np.linalg.matrix_power(step, n_steps % every)
+    checks = [(step, dt)] if n_steps else []
     if tail:
         short = _rk4_step(gen, tail)
-        _check_stable(short, tail, cfg)
+        checks.append((short, tail))
+    _check_stable(checks, cfg)
+    last = np.linalg.matrix_power(step, n_steps % every)
+    if tail:
         last = short @ last
     stride = _keep_hermitian(np.linalg.matrix_power(step, every))
     last = _keep_hermitian(last)
 
-    out = [(0.0, rho.copy())]
-    v = rho.reshape(16)
-    trace = complex(np.trace(rho))
-    for k in range(every, n_steps + 1, every):
-        v = _advance(stride, v, trace)
-        out.append((k * dt, v.reshape(4, 4)))
-    if n_steps % every or tail:
-        out.append((float(cfg.t_max), _advance(last, v, trace).reshape(4, 4)))
+    times = [k * dt for k in range(0, n_steps + 1, every)]
+    ends_on_stride = not (n_steps % every or tail)
+    if not ends_on_stride:
+        times.append(float(cfg.t_max))
     elif n_steps:
-        out[-1] = (float(cfg.t_max), out[-1][1])
-    return out
+        times[-1] = float(cfg.t_max)
+    states = np.empty((len(points), len(times), 16), dtype=complex)
+    states[:, 0] = rho.reshape(-1, 16)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    n_strides = n_steps // every
+    for k in range(1, n_strides + 1):
+        _advance(stride, states[:, k - 1], states[:, k], trace)
+    if not ends_on_stride:
+        _advance(last, states[:, n_strides], states[:, -1], trace)
+    states = states.reshape(len(points), len(times), 4, 4)
+    return np.array(times), states[0] if isinstance(p, ModelParams) else states
 
 
 def _closed_form_scales(p: ModelParams) -> DerivedScales:
@@ -423,11 +477,17 @@ class TimeSeriesRecord:
     min_eig: float
 
 
-def record_from_state(t, rho) -> TimeSeriesRecord:
-    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T]."""
+def record_from_state(t, rho, min_eig=None) -> TimeSeriesRecord:
+    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T].
+
+    `min_eig` is taken as given when the caller has decomposed the states
+    already (`measures.evaluate_measures` reports it); otherwise it is the
+    smallest eigenvalue of the Hermitian part.
+    """
     r = np.asarray(rho, dtype=complex)
     c = x_components(r)
-    min_eig = np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    if min_eig is None:
+        min_eig = np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
     return TimeSeriesRecord(
         t=per_state(np.asarray(t, dtype=float)),
         rho11=per_state(c.rho11),

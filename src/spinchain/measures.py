@@ -23,9 +23,10 @@ The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
 (T, 4, 4) stack and return floats for one state and length-T arrays for a
 stack, so a whole trajectory is measured in one call. Their guards check
-every element and raise for the first one that fails. The generic routes
-(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) stay single-state
-cross-checks.
+every element and raise for the first one that fails. `evaluate_measures`
+decomposes each state once: one stacked eigh feeds `lqfi` and the
+`min_eig` it reports. The generic routes (`concurrence_generic`, `qfi`,
+`lqfi_bruteforce`) stay single-state cross-checks.
 """
 
 from __future__ import annotations
@@ -177,6 +178,11 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
 
 
 def _density_eig(rho):
+    """Guarded eigendecomposition (p, v) of one state or a stack, p ascending.
+
+    Eigenvalues in [-EIG_CLAMP, 0) are returned as computed; the sums that
+    use them count them as 0.
+    """
     r = np.asarray(rho, dtype=complex)
     bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
     if bad:
@@ -185,7 +191,6 @@ def _density_eig(rho):
     bad = _first_above(-p[..., 0], EIG_CLAMP)
     if bad:
         raise NotPositive(-bad[1], bad[0])
-    p = np.where(p < 0.0, 0.0, p)
     return p, v
 
 
@@ -207,6 +212,7 @@ def qfi(rho, h) -> float:
 
 
 def _qfi_from_elements(p, h_eig) -> float:
+    p = np.where(p < 0.0, 0.0, p)
     # (p_i - p_j)^2 / (p_i + p_j) weights on the off-diagonal pairs
     psum = p[:, None] + p[None, :]
     pdif = p[:, None] - p[None, :]
@@ -225,6 +231,7 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     p_i and are included only for the corrected measure. A stack of
     decompositions (p[T, 4], v[T, 4, 4]) gives M[T, 3, 3].
     """
+    p = np.where(p < 0.0, 0.0, p)
     # <i|A_l|j>, contracted one operand at a time: a single three-operand
     # einsum loops over all of them at once and is several times slower
     a = np.einsum('...lmj,...mi->...lij', np.einsum('lmn,...nj->...lmj', _LOCAL_OBS, v), v.conj())
@@ -244,14 +251,17 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     return m.real
 
 
-def lqfi(rho) -> float | np.ndarray:
+def lqfi(rho, eig=None) -> float | np.ndarray:
     """Local quantum Fisher information, Q = 1 - lambda_max(M).
 
     Full double sum (diagonal included), which makes Q equal the minimum of
     qfi(rho, sigma_r x I) over unit directions r. Q = 0 for product states
-    and the maximally mixed state, Q = 1 for Bell states.
+    and the maximally mixed state, Q = 1 for Bell states. `eig` is the
+    guarded decomposition of `rho` when the caller already holds it
+    (`evaluate_measures` passes its own), so the state is not decomposed
+    twice.
     """
-    p, v = _density_eig(rho)
+    p, v = _density_eig(rho) if eig is None else eig
     m = _m_matrix(p, v, include_diagonal=True)
     return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
 
@@ -285,22 +295,33 @@ def lqfi_bruteforce(rho) -> float:
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """All scalar measures of one state (floats) or of a stack (arrays)."""
+    """All scalar measures of one state (floats) or of a stack (arrays).
+
+    `min_eig` is the smallest eigenvalue of the decomposition behind `lqfi`.
+    """
 
     concurrence: float
     c1_branch: float
     c2_branch: float
     l1_coherence: float
     lqfi: float
+    min_eig: float
 
 
 def evaluate_measures(rho) -> MeasureSet:
-    """Bundle the X-state measures of one state or of a (T, 4, 4) stack."""
+    """Bundle the X-state measures of one state or of a (T, 4, 4) stack.
+
+    Each state is decomposed once: the same stacked eigh gives `lqfi` and
+    `min_eig`.
+    """
     xc = concurrence_x(rho)
+    l1 = l1_coherence(rho)
+    eig = _density_eig(rho)
     return MeasureSet(
         concurrence=xc.concurrence,
         c1_branch=xc.c1_branch,
         c2_branch=xc.c2_branch,
-        l1_coherence=l1_coherence(rho),
-        lqfi=lqfi(rho),
+        l1_coherence=l1,
+        lqfi=lqfi(rho, eig),
+        min_eig=per_state(eig[0][..., 0]),
     )

@@ -1,13 +1,19 @@
-"""Static SVG line charts from the CSV files this package writes.
+"""Static SVG line charts of the tables this package writes.
 
-Hand-assembled SVG: no plotting dependency, and the output is
-byte-deterministic for identical input (fixed palette, fixed float
-formatting, no timestamps or generated ids).
+`emit_plot` renders a header and its rows held in memory: `evolve --plot`
+passes the table it has just written, and `plot` reads a CSV file with
+`read_csv` first. The CSV holds every value with 17 significant digits,
+which round-trips exactly, so both give the same bytes. Hand-assembled
+SVG: no plotting dependency, and the output is byte-deterministic for
+identical input (fixed palette, fixed float formatting, no timestamps or
+generated ids).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -53,16 +59,17 @@ def _fmt(x: float) -> str:
     return format(x, ".4g")
 
 
-def emit_plot(csv_path, columns, out_path) -> None:
-    """Render the named columns of a CSV file as an SVG line chart.
+def emit_plot(header, rows, columns, out_path) -> None:
+    """Render the named columns of a table as an SVG line chart.
 
-    The first CSV column is the x axis; each requested column becomes one
-    polyline. Raises UnknownColumn for a missing name and EmptyData for a
-    CSV without rows (no file is written in either case).
+    `header` names the columns of `rows`, a 2-D float table (a list of rows
+    or an array, as `read_csv` or the CLI holds it). The first column is
+    the x axis; each requested column becomes one polyline. Raises
+    UnknownColumn for a missing name and EmptyData for a table without rows
+    (no file is written in either case).
     """
-    header, rows = read_csv(csv_path)
-    if not rows:
-        raise EmptyData(f"{csv_path}: no data rows")
+    if len(rows) == 0:
+        raise EmptyData("no data rows")
     if not columns:
         raise UnknownColumn("no columns requested")
     index = {name: i for i, name in enumerate(header)}
@@ -70,13 +77,14 @@ def emit_plot(csv_path, columns, out_path) -> None:
         if name not in index:
             raise UnknownColumn(f"column {name!r} not in header {header}")
 
-    xs = [row[0] for row in rows]
-    series = {name: [row[index[name]] for row in rows] for name in columns}
+    table = np.asarray(rows, dtype=float)
+    xs = table[:, 0].tolist()
+    series = {name: table[:, index[name]].tolist() for name in columns}
 
     x_lo, x_hi = min(xs), max(xs)
     y_values = [v for vals in series.values() for v in vals if v == v]  # drop NaN
     if not y_values:
-        raise EmptyData(f"{csv_path}: requested columns hold no finite values")
+        raise EmptyData("requested columns hold no finite values")
     y_lo, y_hi = min(y_values), max(y_values)
     if y_hi == y_lo:
         pad = abs(y_hi) * 0.1 or 1.0

@@ -57,7 +57,7 @@ def reference_runs():
         for mu in MUS:
             p = ModelParams(theta=theta, mu=mu)
             start = time.perf_counter()
-            series = evolve(initial_state(theta), p, cfg)
+            series = list(zip(*evolve(initial_state(theta), p, cfg)))
             runs[(theta, mu)] = (p, series, time.perf_counter() - start)
     return runs
 
@@ -201,7 +201,7 @@ def test_criterion_8_inner_channel_ignores_neighborhood(reference_runs):
     p1, series1, _ = reference_runs[(math.pi / 4, 1)]
     p0 = replace(p1, J0=0.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
-    series0 = evolve(initial_state(p0.theta), p0, cfg)
+    series0 = list(zip(*evolve(initial_state(p0.theta), p0, cfg)))
     diff23 = max(abs(2 * abs(a[1, 2]) - 2 * abs(b[1, 2]))
                  for (_, a), (_, b) in zip(series1, series0))
     diff14 = max(abs(2 * abs(a[0, 3]) - 2 * abs(b[0, 3]))
@@ -216,7 +216,7 @@ def test_criterion_9_integrator_convergence_order(reference_runs):
     p, fine_series, _ = reference_runs[(math.pi / 4, 1)]
     fine = max(max_abs(rho - analytic_state(p, t)) for t, rho in fine_series)
     cfg = IntegratorConfig(dt=2e-3, t_max=20.0, record_every=5)
-    coarse_series = evolve(initial_state(p.theta), p, cfg)
+    coarse_series = zip(*evolve(initial_state(p.theta), p, cfg))
     coarse = max(max_abs(rho - analytic_state(p, t)) for t, rho in coarse_series)
     ratio = coarse / fine
     ok = ratio >= 8.0

@@ -20,6 +20,7 @@ from spinchain import (
     record_from_state,
 )
 from spinchain.cli import (
+    _CSV_BLOCK,
     CSV_COLUMNS,
     ConfigError,
     ScenarioConfig,
@@ -31,6 +32,7 @@ from spinchain.cli import (
     scenario_rows,
     write_csv,
 )
+from spinchain.dynamics import magnitude
 
 BASE_CONF = """\
 # reference scenario
@@ -189,21 +191,45 @@ def test_sector_mixture_averages_sectors(conf):
     header, rows = scenario_rows(cfg)
     icfg = IntegratorConfig(dt=cfg.dt, t_max=0.2, record_every=100)
     rho0 = initial_state(cfg.params.theta)
-    by_mu = {mu: evolve(rho0, replace(cfg.params, mu=mu), icfg) for mu in (1, 0, -1)}
+    by_mu = {mu: evolve(rho0, replace(cfg.params, mu=mu), icfg)[1] for mu in (1, 0, -1)}
     for k, row in enumerate(rows):
-        blend = (0.25 * by_mu[1][k][1] + 0.5 * by_mu[0][k][1] + 0.25 * by_mu[-1][k][1])
+        blend = (0.25 * by_mu[1][k] + 0.5 * by_mu[0][k] + 0.25 * by_mu[-1][k])
         assert row[header.index("rho11")] == pytest.approx(blend[0, 0].real, abs=1e-14)
         assert row[header.index("abs_rho14")] == pytest.approx(abs(blend[0, 3]), abs=1e-14)
 
+
+
+def test_sector_mixture_with_reference_is_one_batch_of_single_runs(conf):
+    entries = parse_config_file(conf)
+    entries.update({"mode": "sector-mixture", "compare_j0_zero": True,
+                    "t_max": 0.2005, "record_every": 7})
+    cfg = scenario_from_entries(entries)
+    header, table = scenario_rows(cfg)
+    icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
+    rho0 = initial_state(cfg.params.theta)
+    runs = [replace(p, mu=mu) for p in (cfg.params, replace(cfg.params, J0=0.0))
+            for mu in (1, 0, -1)]
+    times, batched = evolve(rho0, runs, icfg)
+    for run, states in zip(runs, batched):
+        one_times, one_states = evolve(rho0, run, icfg)
+        assert np.array_equal(one_times, times)
+        assert np.array_equal(one_states, states)
+    # the CLI table holds exactly the 1:2:1 blends of those runs
+    assert np.array_equal(table[:, 0], times)
+    for suffix, (plus, zero, minus) in (("", batched[:3]), ("_ref", batched[3:])):
+        blend = 0.25 * plus + 0.5 * zero + 0.25 * minus
+        assert np.array_equal(table[:, header.index("rho11" + suffix)], blend[:, 0, 0].real)
+        assert np.array_equal(table[:, header.index("abs_rho14" + suffix)],
+                              magnitude(blend[:, 0, 3]))
 
 def _per_state_rows(cfg):
     """CSV_COLUMNS of cfg's samples, one single-state call at a time."""
     icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
     rho0 = initial_state(cfg.params.theta)
     if cfg.mode == "single-sector":
-        samples = evolve(rho0, cfg.params, icfg)
+        samples = zip(*evolve(rho0, cfg.params, icfg))
     else:
-        sectors = [(w, evolve(rho0, replace(cfg.params, mu=mu), icfg))
+        sectors = [(w, list(zip(*evolve(rho0, replace(cfg.params, mu=mu), icfg))))
                    for mu, w in ((1, 0.25), (0, 0.5), (-1, 0.25))]
         samples = [(t, sum(w * seq[k][1] for w, seq in sectors))
                    for k, (t, _) in enumerate(sectors[0][1])]
@@ -249,6 +275,17 @@ def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
     assert path.read_bytes() == (",".join(header) + "\n" + expected).encode("ascii")
 
 
+
+def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
+    header = ["a", "b", "c"]
+    rows = rng.normal(size=(2 * _CSV_BLOCK + 3, 3)) * 10.0 ** rng.integers(-30, 30, size=(1, 3))
+    for n_rows in (0, 1, _CSV_BLOCK, len(rows)):
+        path = tmp_path / f"rows{n_rows}.csv"
+        write_csv(path, header, rows[:n_rows])
+        expected = "".join(",".join(map(format_csv_value, row)) + "\n"
+                           for row in rows[:n_rows].tolist())
+        assert path.read_bytes() == ("a,b,c\n" + expected).encode("ascii")
+
 def test_evolve_plot_flag_writes_svg(conf, tmp_path):
     out = tmp_path / "run.csv"
     assert main(["evolve", "--config", str(conf), "--out", str(out), "--plot"]) == 0
@@ -257,6 +294,11 @@ def test_evolve_plot_flag_writes_svg(conf, tmp_path):
     assert body.startswith("<svg ")
     assert "polyline" in body
     assert "concurrence" in body
+    # rendered from the table in memory: the same bytes as from the CSV it wrote
+    replot = tmp_path / "replot.svg"
+    assert main(["plot", "--csv", str(out), "--columns", "concurrence,l1_coherence,lqfi",
+                 "--out", str(replot)]) == 0
+    assert replot.read_bytes() == svg.read_bytes()
 
 
 # --- sweep --------------------------------------------------------------------
@@ -272,6 +314,31 @@ def test_sweep_grid_and_layout(conf, tmp_path):
     values = [float(line.split(",")[0]) for line in lines[1:]]
     assert values == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]  # 2 samples per point
 
+
+
+@pytest.mark.parametrize("sweep", [
+    ["--param", "b", "--from", "0.5", "--to", "2.5", "--count", "3",
+     "--phi", "0.7", "--varphi", "1.1"],
+    ["--param", "theta", "--from", "0", "--to", "1.5", "--count", "4",
+     "--mode", "sector-mixture", "--compare-j0-zero"],
+])
+def test_sweep_blocks_are_the_bytes_of_single_runs(conf, tmp_path, sweep):
+    window = ["--t-max", "0.2005", "--record-every", "7"]
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)] + sweep + window) == 0
+    lines = out.read_bytes().split(b"\n")[:-1]
+    values = np.linspace(float(sweep[3]), float(sweep[5]), int(sweep[7]))
+    block = (len(lines) - 1) // len(values)
+    flags = sweep[8:]
+    for k, value in enumerate(values):
+        single = tmp_path / f"point{k}.csv"
+        assert main(["evolve", "--config", str(conf), "--out", str(single),
+                     f"--{sweep[1]}", repr(float(value))] + flags + window) == 0
+        expected = single.read_bytes().split(b"\n")[:-1]
+        assert lines[0] == b"sweep_value," + expected[0]
+        got = lines[1 + k * block:1 + (k + 1) * block]
+        assert [line.split(b",", 1) for line in got] == [
+            [format_csv_value(value).encode("ascii"), line] for line in expected[1:]]
 
 @pytest.mark.parametrize("extra", [
     ["--param", "nope", "--from", "0", "--to", "1", "--count", "2"],
@@ -395,6 +462,32 @@ def test_positivity_lost_at_stable_dt_exit_code(conf, tmp_path, capsys):
     assert "reduce dt" in err
     assert not (tmp_path / "sw.csv").exists()
 
+
+
+def test_unstable_later_sweep_point_exit_code(conf, tmp_path, capsys):
+    # at dt = 0.01 the points b = 50 and 100 are stable and b = 150 and 200 are not
+    code = main(["sweep", "--config", str(conf), "--param", "b",
+                 "--from", "50", "--to", "200", "--count", "4",
+                 "--dt", "0.01", "--t-max", "1", "--record-every", "1",
+                 "--out", str(tmp_path / "sw.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: sweep point b=150: RK4 amplification factor" in err
+    assert "reduce dt" in err
+    assert not (tmp_path / "sw.csv").exists()
+
+
+def test_sweep_reports_earlier_positivity_loss_before_later_instability(conf, tmp_path, capsys):
+    # point by point, b = 3 is measured (and loses positivity at t = 0.03)
+    # before b = 203 is integrated, so its failure is the one reported
+    code = main(["sweep", "--config", str(conf), "--param", "b",
+                 "--from", "3", "--to", "203", "--count", "2",
+                 "--dt", "0.01", "--t-max", "10", "--record-every", "1",
+                 "--out", str(tmp_path / "sw.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "sweep point b=3: integrated state at t=0.03" in err
+    assert not (tmp_path / "sw.csv").exists()
 
 def test_validate_quick_passes(capsys):
     assert main(["validate", "--quick"]) == 0

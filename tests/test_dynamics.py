@@ -113,7 +113,7 @@ def test_exponential_population_decay_without_hamiltonian():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     cfg = IntegratorConfig(dt=1e-3, t_max=4.0, record_every=100)
-    for t, rho in evolve(rho0, free, cfg):
+    for t, rho in zip(*evolve(rho0, free, cfg)):
         assert rho[0, 0].real == pytest.approx(math.exp(-2 * gamma * t), abs=1e-8)
 
 
@@ -123,7 +123,7 @@ def test_exponential_population_decay_without_hamiltonian():
 def test_analytic_matches_integration(theta, mu):
     p = ModelParams(theta=theta, mu=mu)
     cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=50)
-    series = evolve(initial_state(theta), p, cfg)
+    series = zip(*evolve(initial_state(theta), p, cfg))
     worst = max(max_abs(rho - analytic_state(p, t)) for t, rho in series)
     assert worst < 1e-8
 
@@ -137,7 +137,7 @@ def test_analytic_at_zero_reproduces_initial_state(rng):
 def test_unitary_limit_preserves_purity():
     p = ModelParams(gamma=0.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=100)
-    series = evolve(initial_state(p.theta), p, cfg)
+    series = zip(*evolve(initial_state(p.theta), p, cfg))
     for t, rho in series:
         purity = np.trace(rho @ rho).real
         assert purity == pytest.approx(1.0, abs=1e-8)
@@ -147,7 +147,7 @@ def test_unitary_limit_preserves_purity():
 def test_evolution_invariants(rng):
     p = random_params(rng, gamma=0.4)
     cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=100)
-    for t, rho in evolve(initial_state(p.theta), p, cfg):
+    for t, rho in zip(*evolve(initial_state(p.theta), p, cfg)):
         rec = record_from_state(t, rho)
         assert rec.trace_dev < 1e-9
         assert rec.min_eig > -1e-9
@@ -158,16 +158,15 @@ def test_long_unitary_run_keeps_trace_and_hermiticity():
     # the same stride matrix is applied 20 000 times; its rounding must not add up
     p = ModelParams(gamma=0.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=200.0, record_every=10)
-    for t, rho in evolve(initial_state(p.theta), p, cfg):
+    for t, rho in zip(*evolve(initial_state(p.theta), p, cfg)):
         assert abs(np.trace(rho) - 1.0) < 1e-13
         assert max_abs(rho - rho.conj().T) < 1e-13
 
 
 def test_recording_grid():
     cfg = IntegratorConfig(dt=0.01, t_max=0.05, record_every=2)
-    series = evolve(initial_state(0.3), ModelParams(theta=0.3), cfg)
-    times = [t for t, _ in series]
-    assert times == pytest.approx([0.0, 0.02, 0.04, 0.05])
+    times, _ = evolve(initial_state(0.3), ModelParams(theta=0.3), cfg)
+    assert times.tolist() == pytest.approx([0.0, 0.02, 0.04, 0.05])
 
 
 def test_propagator_matches_stage_by_stage_rk4(rng):
@@ -185,9 +184,9 @@ def test_propagator_matches_stage_by_stage_rk4(rng):
         rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         expected.append(rho)
     cfg = IntegratorConfig(dt=dt, t_max=n_steps * dt, record_every=1)
-    series = evolve(initial_state(p.theta), p, cfg)
-    assert len(series) == len(expected)
-    for (_, got), want in zip(series, expected):
+    _, states = evolve(initial_state(p.theta), p, cfg)
+    assert len(states) == len(expected)
+    for got, want in zip(states, expected):
         assert max_abs(got - want) < 1e-12
 
 
@@ -195,26 +194,27 @@ def test_runs_end_exactly_at_t_max():
     p = ModelParams()
     # not a whole number of steps: one short exact RK4 step ends the run
     cfg = IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=10)
-    t_last, rho_last = evolve(initial_state(p.theta), p, cfg)[-1]
+    times, states = evolve(initial_state(p.theta), p, cfg)
+    t_last, rho_last = times[-1], states[-1]
     assert t_last == 0.1005
     assert max_abs(rho_last - analytic_state(p, 0.1005)) < 1e-9
     cfg = IntegratorConfig(dt=0.3, t_max=1.0, record_every=1)
-    times = [t for t, _ in evolve(initial_state(p.theta), p, cfg)]
+    times = evolve(initial_state(p.theta), p, cfg)[0].tolist()
     assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
     assert times[-1] == 1.0
     # three whole steps, although 3 * 0.1 rounds to 0.30000000000000004
     cfg = IntegratorConfig(dt=0.1, t_max=0.3, record_every=3)
-    assert [t for t, _ in evolve(initial_state(p.theta), p, cfg)] == [0.0, 0.3]
+    assert evolve(initial_state(p.theta), p, cfg)[0].tolist() == [0.0, 0.3]
 
 
 @pytest.mark.parametrize("t_max", [0.1, 0.1005])
 def test_strided_samples_match_every_step_samples(t_max):
     # 100 whole steps, not a multiple of the stride; the second window adds a short step
     p = ModelParams()
-    every_step = dict(evolve(initial_state(p.theta), p,
-                             IntegratorConfig(dt=1e-3, t_max=t_max, record_every=1)))
-    strided = evolve(initial_state(p.theta), p,
-                     IntegratorConfig(dt=1e-3, t_max=t_max, record_every=7))
+    every_step = dict(zip(*evolve(initial_state(p.theta), p,
+                                  IntegratorConfig(dt=1e-3, t_max=t_max, record_every=1))))
+    strided = list(zip(*evolve(initial_state(p.theta), p,
+                               IntegratorConfig(dt=1e-3, t_max=t_max, record_every=7))))
     assert [t for t, _ in strided][:-1] == [k * 1e-3 for k in range(0, 99, 7)]
     assert strided[-1][0] == t_max
     for t, rho in strided:
@@ -227,7 +227,7 @@ def test_whole_float_record_every_samples_like_the_int():
     runs = [evolve(initial_state(p.theta), p,
                    IntegratorConfig(dt=0.01, t_max=0.05, record_every=every))
             for every in (2, 2.0)]
-    assert [t for t, _ in runs[0]] == [t for t, _ in runs[1]]
+    assert runs[0][0].tolist() == runs[1][0].tolist()
 
 
 def test_halving_dt_shrinks_error_by_rk4_factor():
@@ -235,9 +235,59 @@ def test_halving_dt_shrinks_error_by_rk4_factor():
     errors = {}
     for dt in (2e-3, 1e-3):
         cfg = IntegratorConfig(dt=dt, t_max=5.0, record_every=int(round(0.1 / dt)))
-        series = evolve(initial_state(p.theta), p, cfg)
+        series = zip(*evolve(initial_state(p.theta), p, cfg))
         errors[dt] = max(max_abs(rho - analytic_state(p, t)) for t, rho in series)
     assert errors[2e-3] / errors[1e-3] >= 8.0
+
+
+
+# --- batched integration --------------------------------------------------------
+
+def _assert_batch_matches_single_calls(rho0, points, cfg):
+    times, states = evolve(rho0, points, cfg)
+    assert states.shape == (len(points), len(times), 4, 4)
+    for k, p in enumerate(points):
+        one_times, one_states = evolve(rho0 if np.ndim(rho0) == 2 else rho0[k], p, cfg)
+        assert np.array_equal(one_times, times)
+        assert np.array_equal(one_states, states[k])  # bit for bit
+
+
+@pytest.mark.parametrize("t_max", [0.2, 0.2005])
+def test_batched_points_match_single_calls(t_max):
+    # 200 whole steps, not a multiple of the stride; the second window adds a short tail step
+    points = [ModelParams(b=b, mu=mu) for b in (0.5, 1.5, 2.5) for mu in (1, 0, -1)]
+    _assert_batch_matches_single_calls(initial_state(math.pi / 4), points,
+                                       IntegratorConfig(dt=1e-3, t_max=t_max, record_every=7))
+
+
+def test_batched_theta_sweep_matches_single_calls():
+    # a theta sweep starts every point from its own initial state
+    thetas = np.linspace(0.0, 1.5, 4)
+    points = [ModelParams(theta=float(theta)) for theta in thetas]
+    rho0 = np.stack([initial_state(theta) for theta in thetas])
+    _assert_batch_matches_single_calls(rho0, points,
+                                       IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=7))
+
+
+def test_batched_evolve_rejects_mismatched_inputs():
+    points = [ModelParams(), ModelParams(b=1.0)]
+    with pytest.raises(ValueError, match="3 initial states for 2 parameter points"):
+        evolve(np.stack([initial_state(0.3)] * 3), points)
+    with pytest.raises(ValueError, match="at least one"):
+        evolve(initial_state(0.3), [])
+
+
+def test_batched_unstable_point_is_named_by_index():
+    # at dt = 0.01 the RK4 step is stable for b = 50 and 100 and unstable from b = 150 on
+    cfg = IntegratorConfig(dt=0.01, t_max=1.0, record_every=1)
+    points = [ModelParams(b=b) for b in (50.0, 100.0, 150.0, 200.0)]
+    with pytest.raises(StepUnstable) as err:
+        evolve(initial_state(0.3), points, cfg)
+    assert err.value.index == 2
+    with pytest.raises(StepUnstable) as single:
+        evolve(initial_state(0.3), points[2], cfg)
+    assert single.value.index == 0
+    assert str(err.value) == str(single.value)
 
 
 # --- stationary state ---------------------------------------------------------
@@ -254,8 +304,7 @@ def test_steady_state_is_fixed_point(rng):
 def test_evolution_approaches_steady_state():
     p = ModelParams(gamma=1.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=40.0, record_every=40000)
-    series = evolve(initial_state(p.theta), p, cfg)
-    final = series[-1][1]
+    final = evolve(initial_state(p.theta), p, cfg)[1][-1]
     assert max_abs(final - steady_state_limit(p)) < 1e-6
 
 

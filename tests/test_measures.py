@@ -320,6 +320,21 @@ def test_stacked_x_measures_match_single_state_calls(rng):
             assert abs(getattr(ms, field)[k] - getattr(single, field)) <= 1e-15
 
 
+
+def test_evaluate_measures_decomposes_each_state_once(rng, monkeypatch):
+    stack = np.array([random_x_state(rng) for _ in range(50)])
+    expected_lqfi = lqfi(stack)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    ms = evaluate_measures(stack)
+    assert calls == [(50, 4, 4)]
+    assert np.array_equal(ms.lqfi, expected_lqfi)
+    # the same eigh gives min_eig; the Hermitian-part eigvalsh agrees to rounding
+    min_eig = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+    assert np.abs(ms.min_eig - min_eig).max() <= 1e-15
+    assert isinstance(evaluate_measures(stack[0]).min_eig, float)
+
 def test_stack_guards_fire_on_one_bad_element(rng):
     stack = np.array([random_x_state(rng) for _ in range(20)])
     off_pattern = stack.copy()

@@ -31,7 +31,7 @@ def test_read_csv_rejects_ragged_rows(tmp_path):
 
 def test_emit_plot_structure(sample_csv, tmp_path):
     out = tmp_path / "chart.svg"
-    emit_plot(sample_csv, ["alpha", "beta"], out)
+    emit_plot(*read_csv(sample_csv), ["alpha", "beta"], out)
     body = out.read_text()
     assert body.startswith("<svg ")
     assert body.rstrip().endswith("</svg>")
@@ -42,7 +42,7 @@ def test_emit_plot_structure(sample_csv, tmp_path):
 
 def test_emit_plot_skips_non_finite_points(sample_csv, tmp_path):
     out = tmp_path / "chart.svg"
-    emit_plot(sample_csv, ["beta"], out)
+    emit_plot(*read_csv(sample_csv), ["beta"], out)
     body = out.read_text()
     polyline = next(line for line in body.splitlines() if "<polyline" in line)
     # three rows, one NaN sample: only two points survive
@@ -52,7 +52,7 @@ def test_emit_plot_skips_non_finite_points(sample_csv, tmp_path):
 def test_emit_plot_unknown_column_writes_nothing(sample_csv, tmp_path):
     out = tmp_path / "chart.svg"
     with pytest.raises(UnknownColumn):
-        emit_plot(sample_csv, ["gamma"], out)
+        emit_plot(*read_csv(sample_csv), ["gamma"], out)
     assert not out.exists()
 
 
@@ -60,12 +60,12 @@ def test_emit_plot_empty_data(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("t,x\n")
     with pytest.raises(EmptyData):
-        emit_plot(path, ["x"], tmp_path / "chart.svg")
+        emit_plot(*read_csv(path), ["x"], tmp_path / "chart.svg")
 
 
 def test_emit_plot_constant_series(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("t,x\n0,1\n1,1\n2,1\n")
     out = tmp_path / "flat.svg"
-    emit_plot(path, ["x"], out)
+    emit_plot(*read_csv(path), ["x"], out)
     assert out.read_text().count("<polyline") == 1
