@@ -495,7 +495,7 @@ def run_validate(quick: bool = False, dt: float | None = None,
     rep.line("PASS" if worst <= 1e-9 else "FAIL", "concurrence x-vs-generic",
              f"n = {n_states}  max|diff| = {worst:.3e}  tol = 1e-09")
 
-    # 4. LQFI eigenvalue route against the polarization route
+    # 4. LQFI X-block route against the polarization route
     n_states = 10 if quick else 50
     worst = 0.0
     for _ in range(n_states):

@@ -14,19 +14,28 @@ eigendecomposition of rho, PROVIDED the double sum defining M runs over all
 index pairs (the diagonal i = j contributes p_i <i|A|i><i|B|i>). Dropping
 the diagonal, as sometimes written, breaks the identity on low-rank states
 (a pure product state then scores a spurious Q = 1); that variant is kept
-as `lqfi_paper_variant` for comparison. `lqfi_bruteforce` reaches the same
-minimum without M: qfi(rho, r.sigma x I) is a quadratic form in r, so its
-3x3 matrix follows exactly from six generic `qfi` calls by polarization,
-and the minimum over unit r is its smallest eigenvalue.
+as `lqfi_paper_variant` for comparison.
+
+LQFI has three routes. On X states (Kim, Li, Kumar & Wu, PRA 97, 032326,
+2018, specialized) M is block diagonal and follows in closed form from the
+eigenpairs of the two 2x2 blocks, outer {|00>, |11>} and inner
+{|01>, |10>}; `lqfi` takes this route whenever every state is X-form,
+because it is about ten times faster than the next one. Any other
+state goes through a stacked eigh and the einsums of `_m_matrix`. Both
+share M's formula, so `lqfi_bruteforce` checks both without forming M:
+qfi(rho, r.sigma x I) is a quadratic form in r, so its 3x3 matrix follows
+exactly from six generic `qfi` calls by polarization, and the minimum over
+unit r is its smallest eigenvalue.
 
 The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
 (T, 4, 4) stack and return floats for one state and length-T arrays for a
 stack, so a whole trajectory is measured in one call. Their guards check
 every element and raise for the first one that fails. `evaluate_measures`
-decomposes each state once: one stacked eigh feeds `lqfi` and the
-`min_eig` it reports. The generic routes (`concurrence_generic`, `qfi`,
-`lqfi_bruteforce`) stay single-state cross-checks.
+solves each state's two blocks once: the block spectra give `lqfi` and
+the `min_eig` it reports, with no eigh. The generic routes
+(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) stay single-state
+cross-checks.
 """
 
 from __future__ import annotations
@@ -177,21 +186,66 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
     return per_state(a.sum(axis=(-2, -1)))
 
 
+def _hermitian_states(rho) -> np.ndarray:
+    """rho as a complex array, after the Hermiticity guard on every state."""
+    r = np.asarray(rho, dtype=complex)
+    bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
+    if bad:
+        raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return r
+
+
+def _check_positive(min_eig) -> None:
+    bad = _first_above(-min_eig, EIG_CLAMP)
+    if bad:
+        raise NotPositive(-bad[1], bad[0])
+
+
 def _density_eig(rho):
     """Guarded eigendecomposition (p, v) of one state or a stack, p ascending.
 
     Eigenvalues in [-EIG_CLAMP, 0) are returned as computed; the sums that
     use them count them as 0.
     """
-    r = np.asarray(rho, dtype=complex)
-    bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
-    if bad:
-        raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    p, v = np.linalg.eigh(r)
-    bad = _first_above(-p[..., 0], EIG_CLAMP)
-    if bad:
-        raise NotPositive(-bad[1], bad[0])
+    p, v = np.linalg.eigh(_hermitian_states(rho))
+    _check_positive(p[..., 0])
     return p, v
+
+
+class _XBlock(NamedTuple):
+    """Spectrum of one 2x2 block [[a, c], [c*, d]] of an X state (arrays for a stack).
+
+    `low` <= `high` are its eigenvalues. In its eigenbasis sigma_z has
+    diagonal elements +-`cos` and off-diagonal magnitude `sin`: (cos, sin)
+    is ((a - d) / 2, |c|) over the eigenvalue half-gap, and (1, 0) for a
+    block proportional to the identity, whose eigenbasis is arbitrary.
+    """
+
+    low: float
+    high: float
+    cos: float
+    sin: float
+
+
+def _block_spectrum(a, d, c) -> _XBlock:
+    mean, half, mag = 0.5 * (a + d), 0.5 * (a - d), magnitude(c)
+    gap = np.hypot(half, mag)
+    split = gap > 0.0
+    safe = np.where(split, gap, 1.0)
+    return _XBlock(mean - gap, mean + gap, np.where(split, half / safe, 1.0), mag / safe)
+
+
+def _x_blocks(r) -> tuple[_XBlock, _XBlock]:
+    """The outer {|00>, |11>} and inner {|01>, |10>} block spectra of X states.
+
+    `r` has passed the Hermiticity guard; NotPositive names the first state
+    whose smaller block eigenvalue lies below -EIG_CLAMP.
+    """
+    c = x_components(r)
+    outer = _block_spectrum(c.rho11, c.rho44, c.rho14)
+    inner = _block_spectrum(c.rho22, c.rho33, c.rho23)
+    _check_positive(np.minimum(outer.low, inner.low))
+    return outer, inner
 
 
 def qfi(rho, h) -> float:
@@ -223,6 +277,18 @@ def _qfi_from_elements(p, h_eig) -> float:
     return float(0.5 * np.sum(w * np.abs(h_eig) ** 2))
 
 
+def _pair_weights(p) -> np.ndarray:
+    """w_ij = 2 p_i p_j / (p_i + p_j) for eigenvalues p[..., n], as w[..., n, n].
+
+    Negative eigenvalues count as 0, and pairs with p_i + p_j <= PAIR_EPS
+    get weight 0; the i = j terms are p_i.
+    """
+    p = np.where(p < 0.0, 0.0, p)
+    psum = p[..., :, None] + p[..., None, :]
+    return np.divide(2.0 * (p[..., :, None] * p[..., None, :]), psum,
+                     out=np.zeros_like(psum), where=psum > PAIR_EPS)
+
+
 def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     """The 3x3 direction matrix M_lk from the eigendecomposition (p, v).
 
@@ -231,14 +297,10 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     p_i and are included only for the corrected measure. A stack of
     decompositions (p[T, 4], v[T, 4, 4]) gives M[T, 3, 3].
     """
-    p = np.where(p < 0.0, 0.0, p)
     # <i|A_l|j>, contracted one operand at a time: a single three-operand
     # einsum loops over all of them at once and is several times slower
     a = np.einsum('...lmj,...mi->...lij', np.einsum('lmn,...nj->...lmj', _LOCAL_OBS, v), v.conj())
-    psum = p[..., :, None] + p[..., None, :]
-    w = np.zeros_like(psum)
-    mask = psum > PAIR_EPS
-    w[mask] = 2.0 * (p[..., :, None] * p[..., None, :])[mask] / psum[mask]
+    w = _pair_weights(p)
     if not include_diagonal:
         n = w.shape[-1]
         w[..., range(n), range(n)] = 0.0
@@ -251,19 +313,51 @@ def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
     return m.real
 
 
-def lqfi(rho, eig=None) -> float | np.ndarray:
+# sign of each outer-inner eigenvalue pair, - for a block's `low` and + for its `high`
+_PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock):
+    """1 - lambda_max(M) of X states from their two block spectra.
+
+    sigma_z x I keeps each block, and sigma_x x I, sigma_y x I map the outer
+    block onto the inner one as sigma_x and sigma_y, so M is block diagonal.
+    M_zz sums over the pairs inside each block. M_xx, M_yy and M_xy sum over
+    the outer-inner pairs; with W the sum of their weights and V the sum
+    signed by `_PAIR_SIGNS`, the larger eigenvalue of that (x, y) block is
+    W - V cos_o cos_i + |V| sin_o sin_i.
+    """
+    w = _pair_weights(np.stack([outer.low, outer.high, inner.low, inner.high], axis=-1))
+    m_zz = ((w[..., 0, 0] + w[..., 1, 1]) * outer.cos**2 + 2.0 * w[..., 0, 1] * outer.sin**2
+            + (w[..., 2, 2] + w[..., 3, 3]) * inner.cos**2 + 2.0 * w[..., 2, 3] * inner.sin**2)
+    cross = w[..., :2, 2:]
+    w_sum = cross.sum(axis=(-2, -1))
+    v_sum = (cross * _PAIR_SIGNS).sum(axis=(-2, -1))
+    m_xy = w_sum - v_sum * outer.cos * inner.cos + np.abs(v_sum) * outer.sin * inner.sin
+    return 1.0 - np.maximum(m_zz, m_xy)
+
+
+def lqfi(rho, blocks=None) -> float | np.ndarray:
     """Local quantum Fisher information, Q = 1 - lambda_max(M).
 
     Full double sum (diagonal included), which makes Q equal the minimum of
     qfi(rho, sigma_r x I) over unit directions r. Q = 0 for product states
-    and the maximally mixed state, Q = 1 for Bell states. `eig` is the
-    guarded decomposition of `rho` when the caller already holds it
-    (`evaluate_measures` passes its own), so the state is not decomposed
-    twice.
+    and the maximally mixed state, Q = 1 for Bell states.
+
+    Two routes give the same M, for speed: when every state is X-form
+    (`x_leakage` within X_FORM_TOL) Q comes in closed form from the two
+    2x2 block spectra, elementwise over the stack; any other input goes
+    through a stacked eigh and `_m_matrix`. `blocks` is the guarded block
+    decomposition of X-form `rho` when the caller already holds it
+    (`evaluate_measures` passes its own).
     """
-    p, v = _density_eig(rho) if eig is None else eig
-    m = _m_matrix(p, v, include_diagonal=True)
-    return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
+    if blocks is None:
+        r = _hermitian_states(rho)
+        if not np.all(x_leakage(r) <= X_FORM_TOL):
+            m = _m_matrix(*_density_eig(r), include_diagonal=True)
+            return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
+        blocks = _x_blocks(r)
+    return per_state(_lqfi_from_blocks(*blocks))
 
 
 def lqfi_paper_variant(rho) -> float | np.ndarray:
@@ -297,7 +391,8 @@ def lqfi_bruteforce(rho) -> float:
 class MeasureSet:
     """All scalar measures of one state (floats) or of a stack (arrays).
 
-    `min_eig` is the smallest eigenvalue of the decomposition behind `lqfi`.
+    `min_eig` is the smallest eigenvalue of the state, from the same block
+    spectra as `lqfi`.
     """
 
     concurrence: float
@@ -311,17 +406,18 @@ class MeasureSet:
 def evaluate_measures(rho) -> MeasureSet:
     """Bundle the X-state measures of one state or of a (T, 4, 4) stack.
 
-    Each state is decomposed once: the same stacked eigh gives `lqfi` and
-    `min_eig`.
+    Each state's two 2x2 blocks are solved once, in closed form: the same
+    block spectra give `lqfi` and `min_eig`, the smaller of the two lower
+    block eigenvalues. No eigh runs.
     """
     xc = concurrence_x(rho)
     l1 = l1_coherence(rho)
-    eig = _density_eig(rho)
+    blocks = _x_blocks(_hermitian_states(rho))
     return MeasureSet(
         concurrence=xc.concurrence,
         c1_branch=xc.c1_branch,
         c2_branch=xc.c2_branch,
         l1_coherence=l1,
-        lqfi=lqfi(rho, eig),
-        min_eig=per_state(eig[0][..., 0]),
+        lqfi=lqfi(rho, blocks),
+        min_eig=per_state(np.minimum(blocks[0].low, blocks[1].low)),
     )

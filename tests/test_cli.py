@@ -477,6 +477,18 @@ def test_unstable_later_sweep_point_exit_code(conf, tmp_path, capsys):
     assert not (tmp_path / "sw.csv").exists()
 
 
+def test_unstable_later_sweep_point_in_sector_mixture_exit_code(conf, tmp_path, capsys):
+    # three sector runs per point: the failing run's index must map back to b = 150
+    code = main(["sweep", "--config", str(conf), "--param", "b",
+                 "--from", "50", "--to", "200", "--count", "4",
+                 "--dt", "0.01", "--t-max", "1", "--record-every", "1",
+                 "--mode", "sector-mixture", "--out", str(tmp_path / "sw.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: sweep point b=150: RK4 amplification factor" in err
+    assert not (tmp_path / "sw.csv").exists()
+
+
 def test_sweep_reports_earlier_positivity_loss_before_later_instability(conf, tmp_path, capsys):
     # point by point, b = 3 is measured (and loses positivity at t = 0.03)
     # before b = 203 is integrated, so its failure is the one reported

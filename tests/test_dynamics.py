@@ -336,6 +336,19 @@ def test_step_outside_stability_region_raises():
     assert "reduce dt" in str(err.value)
 
 
+def test_step_just_past_the_stability_boundary_is_refused():
+    # at the default parameters the RK4 amplification factor crosses 1 near
+    # dt = 0.6485: it is 1 + 1.1e-15 at dt = 0.6484 and 1 + 1.46e-5 at
+    # dt = 0.64854, so the gate must hold to far better than 1e-5
+    p = ModelParams()
+    times, _ = evolve(initial_state(p.theta), p,
+                      IntegratorConfig(dt=0.6484, t_max=4 * 0.6484, record_every=1))
+    assert len(times) == 5
+    with pytest.raises(StepUnstable, match=r"amplification factor 1\.00001 > 1"):
+        evolve(initial_state(p.theta), p,
+               IntegratorConfig(dt=0.64854, t_max=4 * 0.64854, record_every=1))
+
+
 def test_analytic_rejects_negative_time():
     with pytest.raises(ValueError):
         analytic_state(ModelParams(), -0.1)

@@ -21,8 +21,8 @@ from spinchain import (
     rotation_unitary,
     two_qubit_rotation,
 )
-from spinchain.dynamics import max_abs
-from spinchain.measures import _LOCAL_OBS, NotPositive, _density_eig, _m_matrix
+from spinchain.dynamics import X_FORM_TOL, max_abs, x_leakage
+from spinchain.measures import EIG_CLAMP, _LOCAL_OBS, NotPositive, _density_eig, _m_matrix
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -324,16 +324,17 @@ def test_stacked_x_measures_match_single_state_calls(rng):
 def test_evaluate_measures_decomposes_each_state_once(rng, monkeypatch):
     stack = np.array([random_x_state(rng) for _ in range(50)])
     expected_lqfi = lqfi(stack)
+    # the block spectra give min_eig; the Hermitian-part eigvalsh agrees to rounding
+    min_eig = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     ms = evaluate_measures(stack)
-    assert calls == [(50, 4, 4)]
+    assert calls == []
     assert np.array_equal(ms.lqfi, expected_lqfi)
-    # the same eigh gives min_eig; the Hermitian-part eigvalsh agrees to rounding
-    min_eig = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
     assert np.abs(ms.min_eig - min_eig).max() <= 1e-15
     assert isinstance(evaluate_measures(stack[0]).min_eig, float)
+
 
 def test_stack_guards_fire_on_one_bad_element(rng):
     stack = np.array([random_x_state(rng) for _ in range(20)])
@@ -382,3 +383,122 @@ def test_m_matrix_is_block_diagonal_on_x_states(rng):
     assert np.abs(m[:, 2, [0, 1]]).max() < 1e-14
     p, v = _density_eig(np.array([random_density(rng) for _ in range(50)]))
     assert np.abs(_m_matrix(p, v, include_diagonal=True)[:, [0, 1], 2]).max() > 1e-3
+
+
+# --- the X-block route of lqfi ------------------------------------------------
+
+def _m_route(stack):
+    """1 - lambda_max(M) through one stacked eigh and _m_matrix."""
+    p, v = _density_eig(stack)
+    return 1.0 - np.linalg.eigvalsh(_m_matrix(p, v, include_diagonal=True))[..., -1]
+
+
+def _x_state(outer, inner):
+    """The X state with 2x2 blocks `outer` on {|00>, |11>} and `inner` on {|01>, |10>}."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_([0, 3], [0, 3])] = outer
+    rho[np.ix_([1, 2], [1, 2])] = inner
+    return rho
+
+
+def _block(rng, low, high):
+    """A 2x2 Hermitian block with eigenvalues low and high in a random basis."""
+    u = random_unitary(rng)
+    return (u * [low, high]) @ u.conj().T
+
+
+def _hard_x_states(rng):
+    """Random X states with degenerate blocks, pure states and tiny negative eigenvalues."""
+    states = []
+    for k in range(60):
+        rho = random_x_state(rng)
+        idx = [0, 3] if k % 2 else [1, 2]  # the block made special
+        if k < 15:
+            rho[idx[0], idx[1]] = rho[idx[1], idx[0]] = 0.0  # coherence 0
+        elif k < 30:
+            rho[idx[0], idx[0]] = rho[idx[1], idx[1]] = rho[idx, idx].real.mean()  # equal populations
+        elif k < 45:
+            rho[np.ix_(idx, idx)] = np.eye(2) * rho[idx, idx].real.mean()  # both
+        states.append(rho)
+    for k in range(20):
+        one = _block(rng, 0.0, 1.0)
+        states.append(_x_state(one, np.zeros((2, 2))) if k % 2 else _x_state(np.zeros((2, 2)), one))
+    for k in range(20):
+        tiny = -EIG_CLAMP * rng.uniform(0.05, 0.95)
+        share = rng.uniform(0.1, 0.9)
+        states.append(_x_state(_block(rng, tiny, share), _block(rng, 0.0, 1.0 - share - tiny)))
+    return np.array(states)
+
+
+def _refuse_eigh(a):
+    raise AssertionError("the X-block route ran eigh")
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _refuse_eigh)
+
+
+def test_x_block_route_matches_m_route_and_bruteforce(rng, monkeypatch):
+    stack = _hard_x_states(rng)
+    assert np.all(x_leakage(stack) <= X_FORM_TOL)
+    lows = np.linalg.eigvalsh(stack)[:, 0]
+    assert np.sum(lows < 0.0) >= 20
+    assert lows.min() >= -EIG_CLAMP
+    expected = _m_route(stack)
+    brute = [lqfi_bruteforce(rho) for rho in stack]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", _refuse_eigh)
+        values = lqfi(stack)
+        ms = evaluate_measures(stack)
+        singles = [lqfi(rho) for rho in stack]
+    assert np.abs(values - expected).max() <= 1e-13
+    # both M-based routes count an eigenvalue in [-EIG_CLAMP, 0) as 0 and so
+    # lose that much trace, which moves them from the polarization route by
+    # up to its size (the same for the M route)
+    assert np.all(np.abs(values - brute) <= 1e-10 + np.maximum(-lows, 0.0))
+    assert np.abs(values - brute)[lows >= 0.0].max() <= 1e-10
+    assert np.abs(values - singles).max() <= 1e-15
+    assert np.array_equal(ms.lqfi, values)
+    assert np.abs(ms.min_eig - lows).max() <= 1e-15
+
+
+def test_x_block_route_anchors_are_exact(no_eigh):
+    assert lqfi(np.eye(4, dtype=complex) / 4.0) == 0.0
+    assert lqfi(product_state()) == 0.0
+    assert lqfi(bell_state()) == 1.0
+
+
+def test_x_block_route_guards(rng, no_eigh):
+    stack = np.array([random_x_state(rng) for _ in range(20)])
+    skewed = stack.copy()
+    skewed[3, 1, 2] += 2e-6
+    for measure in (lqfi, evaluate_measures):
+        with pytest.raises(NotHermitian, match=r"^state hermiticity defect 2\.000e-06 exceeds 1e-10$"):
+            measure(skewed)
+    negative = stack.copy()
+    negative[6] = _x_state(_block(rng, -3e-9, 0.5), _block(rng, 0.0, 0.5 + 3e-9))
+    negative[14] = _x_state(_block(rng, 0.5, 0.5), _block(rng, -1e-8, 1e-8))  # more negative, later
+    for measure in (lqfi, evaluate_measures):
+        with pytest.raises(NotPositive, match=r"^density eigenvalue -3\.000e-09 below -1e-09$") as err:
+            measure(negative)
+        assert err.value.index == 6
+        assert err.value.min_eig == pytest.approx(-3e-9, rel=1e-6)
+
+
+def test_lqfi_keeps_pairs_just_above_pair_eps(rng):
+    # rank 3: rho11 = rho44 = 1e-6 beside a pure inner block. The outer
+    # eigenvalues pair with each other and with the inner zero at sums of
+    # about 1e-6; dropping those pairs would move lqfi by 2e-6
+    psi = np.zeros(4, dtype=complex)
+    psi[1], psi[2] = math.cos(0.3), math.sin(0.3)
+    rho = (1.0 - 2e-6) * np.outer(psi, psi.conj())
+    rho[0, 0] = rho[3, 3] = 1e-6
+    assert lqfi(rho) == pytest.approx(0.3188204851194174, abs=1e-13)
+    assert abs(lqfi(rho) - lqfi_bruteforce(rho)) <= 1e-10
+    # a local unitary keeps the value but leaves the X pattern: the M route
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    rotated = u @ rho @ u.conj().T
+    assert x_leakage(rotated) > X_FORM_TOL
+    assert abs(lqfi(rotated) - lqfi_bruteforce(rotated)) <= 1e-10
+    assert lqfi(rotated) == pytest.approx(0.3188204851194174, abs=1e-10)
