@@ -15,7 +15,6 @@ table to the CSV in blocks of rows, and plots it from memory.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -24,31 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    IntegratorConfig,
-    StepUnstable,
-    analytic_state,
-    evolve,
-    lindblad_rhs,
-    max_abs,
-    record_from_state,
-    steady_state_limit,
-    x_leakage,
-)
-from .measures import (
-    EIG_CLAMP,
-    BasisRotation,
-    NotPositive,
-    concurrence_generic,
-    concurrence_x,
-    evaluate_measures,
-    l1_coherence,
-    lqfi,
-    lqfi_bruteforce,
-    lqfi_paper_variant,
-)
-from .model import ModelParams, derived_scales, hamiltonian_block, initial_state, jump_operators
+from .dynamics import IntegratorConfig, StepUnstable, evolve, record_from_state
+from .measures import EIG_CLAMP, BasisRotation, NotPositive, evaluate_measures, l1_coherence
+from .model import ModelParams, initial_state
 from .plotting import EmptyData, UnknownColumn, emit_plot, read_csv
+from .validate import run_validate
 
 CSV_COLUMNS = [
     "t", "rho11", "rho22", "rho33", "rho44", "abs_rho14", "abs_rho23",
@@ -379,171 +358,6 @@ def run_plot(csv_path, columns: list[str], out_path) -> int:
     emit_plot(*read_csv(csv_path), columns, out_path)
     print(f"wrote {out_path}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# validate
-
-
-def _random_valid_params(rng, gamma_override=None) -> ModelParams:
-    while True:
-        gamma = float(rng.uniform(0.05, 3.0)) if gamma_override is None else gamma_override
-        try:
-            p = ModelParams(
-                J=float(rng.uniform(-3, 3)), Jz=float(rng.uniform(-3, 3)),
-                eta=float(rng.uniform(-3, 3)), J0=float(rng.uniform(-3, 3)),
-                B=float(rng.uniform(-3, 3)), b=float(rng.uniform(-3, 3)),
-                gamma=gamma, mu=int(rng.integers(-1, 2)),
-                theta=float(rng.uniform(0, math.pi)),
-            )
-        except ValueError:
-            continue
-        d = derived_scales(p)
-        if d.Omega > 1e-6 and d.omega > 1e-6:
-            return p
-
-
-def random_x_state(rng) -> np.ndarray:
-    """Random valid X-form density matrix (Dirichlet populations,
-    positivity-bounded coherences with random phases)."""
-    pops = rng.dirichlet(np.ones(4))
-    m14 = float(rng.uniform(0, 1)) * math.sqrt(pops[0] * pops[3])
-    m23 = float(rng.uniform(0, 1)) * math.sqrt(pops[1] * pops[2])
-    ph14 = float(rng.uniform(0, 2 * math.pi))
-    ph23 = float(rng.uniform(0, 2 * math.pi))
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = pops
-    rho[0, 3] = m14 * np.exp(1j * ph14)
-    rho[3, 0] = np.conj(rho[0, 3])
-    rho[1, 2] = m23 * np.exp(1j * ph23)
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
-
-
-class _Report:
-    def __init__(self):
-        self.failed = 0
-
-    def line(self, status: str, name: str, detail: str):
-        if status == "FAIL":
-            self.failed += 1
-        print(f"{status:<4}  {name:<28}  {detail}")
-
-
-def run_validate(quick: bool = False, dt: float | None = None,
-                 gamma: float | None = None) -> int:
-    """Run the cross-checks between independent computation routes.
-
-    Prints one line per check; exit status 1 when any check fails.
-    ``--quick`` lowers sample counts without touching tolerances.
-    """
-    rep = _Report()
-    rng = np.random.default_rng(20240817)
-    dt = 1e-3 if dt is None else dt
-    base_gamma = 0.2 if gamma is None else gamma
-
-    # 1. closed forms reproduce the initial state exactly at t = 0
-    residue = 0.0
-    for theta in np.linspace(0.0, math.pi / 2, 9):
-        p = ModelParams(theta=float(theta), gamma=base_gamma)
-        residue = max(residue, max_abs(analytic_state(p, 0.0) - initial_state(theta)))
-    rep.line("PASS" if residue <= 1e-9 else "FAIL", "initial-condition residue",
-             f"max|err| = {residue:.3e}  tol = 1e-09")
-
-    # 2. closed forms against direct integration, plus conservation checks
-    mus = (1,) if quick else (1, 0, -1)
-    t_max = 5.0 if quick else 20.0
-    worst = 0.0
-    worst_tr = 0.0
-    worst_eig = 0.0
-    worst_leak = 0.0
-    blew_up = None
-    for theta in (math.pi / 4, 0.0):
-        for mu in mus:
-            p = ModelParams(theta=theta, mu=mu, gamma=base_gamma)
-            cfg = IntegratorConfig(dt=dt, t_max=t_max, record_every=10)
-            try:
-                times, states = evolve(initial_state(theta), p, cfg)
-            except StepUnstable as exc:
-                blew_up = str(exc)
-                break
-            for t, rho in zip(times.tolist(), states):
-                worst = max(worst, max_abs(rho - analytic_state(p, t)))
-            rec = record_from_state(times, states)
-            worst_tr = max(worst_tr, float(np.max(rec.trace_dev)))
-            worst_eig = min(worst_eig, float(np.min(rec.min_eig)))
-            worst_leak = max(worst_leak, float(np.max(x_leakage(states))))
-        if blew_up:
-            break
-    if blew_up:
-        rep.line("FAIL", "analytic-vs-numeric", f"integration unstable: {blew_up}")
-    else:
-        rep.line("PASS" if worst <= 1e-6 else "FAIL", "analytic-vs-numeric",
-                 f"max|err| = {worst:.3e}  tol = 1e-06  (dt = {dt:g})")
-        cons_ok = worst_tr <= 1e-8 and worst_eig >= -1e-9 and worst_leak <= 1e-9
-        rep.line("PASS" if cons_ok else "FAIL", "conservation",
-                 f"trace_dev = {worst_tr:.3e}  min_eig = {worst_eig:.3e}  "
-                 f"x_leakage = {worst_leak:.3e}")
-
-    # 3. X-state concurrence against the generic spin-flip route
-    n_states = 200 if quick else 1000
-    worst = 0.0
-    for _ in range(n_states):
-        rho = random_x_state(rng)
-        xc = concurrence_x(rho)
-        worst = max(worst, abs(xc.concurrence - concurrence_generic(rho)))
-    rep.line("PASS" if worst <= 1e-9 else "FAIL", "concurrence x-vs-generic",
-             f"n = {n_states}  max|diff| = {worst:.3e}  tol = 1e-09")
-
-    # 4. LQFI X-block route against the polarization route
-    n_states = 10 if quick else 50
-    worst = 0.0
-    for _ in range(n_states):
-        rho = random_x_state(rng)
-        worst = max(worst, abs(lqfi(rho) - lqfi_bruteforce(rho)))
-    rep.line("PASS" if worst <= 1e-10 else "FAIL", "lqfi-vs-bruteforce",
-             f"n = {n_states}  max|diff| = {worst:.3e}  tol = 1e-10")
-
-    # 5. LQFI anchors and the dropped-diagonal variant probe
-    bell = initial_state(math.pi / 4)
-    product = np.zeros((4, 4), dtype=complex)
-    product[1, 1] = 1.0  # |01><01|
-    mixed = np.eye(4, dtype=complex) / 4.0
-    anchors_ok = (abs(lqfi(mixed)) <= 1e-10
-                  and abs(lqfi(product)) <= 1e-9
-                  and abs(lqfi(bell) - 1.0) <= 1e-9)
-    rep.line("PASS" if anchors_ok else "FAIL", "lqfi anchors",
-             f"I/4: {lqfi(mixed):.3e}  product: {lqfi(product):.3e}  "
-             f"Bell: {lqfi(bell):.10f}")
-    rep.line("INFO", "lqfi variant probe",
-             f"pure product |01>: full-sum = {lqfi(product):.3e}, "
-             f"diagonal-dropped = {lqfi_paper_variant(product):.6f} "
-             f"(spurious 1 expected); I/4: full-sum = {lqfi(mixed):.3e}, "
-             f"diagonal-dropped = {lqfi_paper_variant(mixed):.3e}")
-
-    # 6. stationary state annihilated by the generator, plus trace identity
-    if base_gamma == 0:
-        rep.line("SKIP", "steady-state fixed point", "gamma = 0: no unique stationary state")
-    else:
-        n_draws = 20 if quick else 100
-        worst = 0.0
-        worst_tr = 0.0
-        for _ in range(n_draws):
-            p = _random_valid_params(rng, gamma_override=None if gamma is None else gamma)
-            ss = steady_state_limit(p)
-            worst = max(worst, max_abs(lindblad_rhs(ss, hamiltonian_block(p), jump_operators(p))))
-            d = derived_scales(p)
-            ident = (4 * p.J**2 * p.eta**2 + 16 * d.Delta**2 + 4 * p.gamma**2) \
-                / (4 * (d.Omega**2 + p.gamma**2))
-            worst_tr = max(worst_tr, abs(ident - 1.0))
-        ok = worst <= 1e-8 and worst_tr <= 1e-12
-        rep.line("PASS" if ok else "FAIL", "steady-state fixed point",
-                 f"n = {n_draws}  max|rhs| = {worst:.3e}  tol = 1e-08  "
-                 f"trace identity dev = {worst_tr:.3e}")
-
-    status = 1 if rep.failed else 0
-    print(f"validate: {'FAIL' if status else 'OK'} ({rep.failed} failing checks)")
-    return status
 
 
 # ---------------------------------------------------------------------------

@@ -369,16 +369,25 @@ def _closed_form_scales(p: ModelParams) -> DerivedScales:
     return d
 
 
-def analytic_state(p: ModelParams, t: float) -> np.ndarray:
-    """Closed-form X-state trajectory at time t >= 0.
+def analytic_state(p: ModelParams, t: float | np.ndarray) -> np.ndarray:
+    """Closed-form X-state trajectory at time t >= 0, or at each of times t[T].
 
     Evaluates the exact solution of the master equation for the initial
-    state sin(theta)|01> + cos(theta)|10>. Singular parameter points
+    state sin(theta)|01> + cos(theta)|10>: a (4, 4) state for a scalar t,
+    a (T, 4, 4) stack for an array of times. Singular parameter points
     Omega = 0 (eta = 0 and Delta = 0) or omega = 0 (J = 0 and b = 0) are
     rejected rather than regularized.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    times = np.asarray(t, dtype=float)
+    # one time is evaluated in Python floats, several times faster than in a 0-d array
+    if times.ndim:
+        t, exp, sin, cos = times, np.exp, np.sin, np.cos
+        earliest = float(times.min(initial=0.0))
+    else:
+        t, exp, sin, cos = float(times), math.exp, math.sin, math.cos
+        earliest = t
+    if earliest < 0:
+        raise ValueError(f"t must be >= 0, got {earliest!r}")
     delta, big_om, om = _closed_form_scales(p)
 
     j, eta, b, g = p.J, p.eta, p.b, p.gamma
@@ -388,12 +397,12 @@ def analytic_state(p: ModelParams, t: float) -> np.ndarray:
     a2 = j * j * eta * eta  # J^2 eta^2
     s2t = math.sin(2.0 * p.theta)
     c2t = math.cos(2.0 * p.theta)
-    eg = math.exp(-g * t)
-    eg2 = math.exp(-2.0 * g * t)
-    sin_big = math.sin(big_om * t)
-    cos_big = math.cos(big_om * t)
-    sin_om = math.sin(om * t)
-    cos_om = math.cos(om * t)
+    eg = exp(-g * t)
+    eg2 = exp(-2.0 * g * t)
+    sin_big = sin(big_om * t)
+    cos_big = cos(big_om * t)
+    sin_om = sin(om * t)
+    cos_om = cos(om * t)
 
     rho11 = a2 * (big_om * (1.0 - eg2) - 2.0 * g * sin_big * eg) / (4.0 * big_om * denom)
     rho22 = (
@@ -423,15 +432,15 @@ def analytic_state(p: ModelParams, t: float) -> np.ndarray:
         + j * eta * (2.0 * delta * denom * eg - (1j * g + 2.0 * delta) * big2) / (2.0 * big2 * denom)
     )
 
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho11
-    rho[1, 1] = rho22
-    rho[2, 2] = rho33
-    rho[3, 3] = rho44
-    rho[1, 2] = rho23
-    rho[2, 1] = np.conj(rho23)
-    rho[0, 3] = rho14
-    rho[3, 0] = np.conj(rho14)
+    rho = np.zeros(times.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho11
+    rho[..., 1, 1] = rho22
+    rho[..., 2, 2] = rho33
+    rho[..., 3, 3] = rho44
+    rho[..., 1, 2] = rho23
+    rho[..., 2, 1] = np.conj(rho23)
+    rho[..., 0, 3] = rho14
+    rho[..., 3, 0] = np.conj(rho14)
     return rho
 
 

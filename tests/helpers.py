@@ -1,9 +1,10 @@
 """Random state and parameter factories shared across the test modules.
 
 The X-state factory here is deliberately built differently from the one
-the CLI uses for its self-checks (rejection sampling against an explicit
-eigenvalue test instead of analytic positivity bounds), so tests that
-compare two computation routes do not inherit the sampler's assumptions.
+`spinchain validate` draws its inputs with (rejection sampling against an
+explicit eigenvalue test instead of analytic positivity bounds), so tests
+that compare two computation routes do not inherit the sampler's
+assumptions.
 """
 
 import math

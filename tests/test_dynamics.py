@@ -69,6 +69,13 @@ def test_validate_density_rejections(rng):
     neg = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         validate_density(neg)
+    # the trace and eigenvalue bounds of 1e-9, from either side
+    validate_density(np.diag([0.25, 0.25, 0.25, 0.25 + 5e-10]).astype(complex))
+    with pytest.raises(ValueError, match="trace"):
+        validate_density(np.diag([0.25, 0.25, 0.25, 0.25 + 2e-9]).astype(complex))
+    validate_density(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        validate_density(np.diag([0.5 + 2e-9, 0.5, 0.0, -2e-9]).astype(complex))
 
 
 # --- generator --------------------------------------------------------------
@@ -123,9 +130,8 @@ def test_exponential_population_decay_without_hamiltonian():
 def test_analytic_matches_integration(theta, mu):
     p = ModelParams(theta=theta, mu=mu)
     cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=50)
-    series = zip(*evolve(initial_state(theta), p, cfg))
-    worst = max(max_abs(rho - analytic_state(p, t)) for t, rho in series)
-    assert worst < 1e-8
+    times, states = evolve(initial_state(theta), p, cfg)
+    assert max_abs(states - analytic_state(p, times)) < 1e-8
 
 
 def test_analytic_at_zero_reproduces_initial_state(rng):
@@ -137,11 +143,10 @@ def test_analytic_at_zero_reproduces_initial_state(rng):
 def test_unitary_limit_preserves_purity():
     p = ModelParams(gamma=0.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=100)
-    series = zip(*evolve(initial_state(p.theta), p, cfg))
-    for t, rho in series:
-        purity = np.trace(rho @ rho).real
-        assert purity == pytest.approx(1.0, abs=1e-8)
-        assert max_abs(rho - analytic_state(p, t)) < 1e-8
+    times, states = evolve(initial_state(p.theta), p, cfg)
+    purity = np.trace(states @ states, axis1=-2, axis2=-1).real
+    assert max_abs(purity - 1.0) <= 1e-8
+    assert max_abs(states - analytic_state(p, times)) < 1e-8
 
 
 def test_evolution_invariants(rng):
@@ -235,8 +240,8 @@ def test_halving_dt_shrinks_error_by_rk4_factor():
     errors = {}
     for dt in (2e-3, 1e-3):
         cfg = IntegratorConfig(dt=dt, t_max=5.0, record_every=int(round(0.1 / dt)))
-        series = zip(*evolve(initial_state(p.theta), p, cfg))
-        errors[dt] = max(max_abs(rho - analytic_state(p, t)) for t, rho in series)
+        times, states = evolve(initial_state(p.theta), p, cfg)
+        errors[dt] = max_abs(states - analytic_state(p, times))
     assert errors[2e-3] / errors[1e-3] >= 8.0
 
 
@@ -350,15 +355,31 @@ def test_step_just_past_the_stability_boundary_is_refused():
 
 
 def test_analytic_rejects_negative_time():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got -0.1$"):
         analytic_state(ModelParams(), -0.1)
+    with pytest.raises(ValueError, match="got -0.001$"):
+        analytic_state(ModelParams(), [0.0, 1.0, -1e-3])
 
 
 def test_analytic_rejects_singular_scales():
-    with pytest.raises(SingularScale):
-        analytic_state(ModelParams(eta=0.0, J0=0.0, B=0.0), 1.0)
-    with pytest.raises(SingularScale):
-        analytic_state(ModelParams(J=0.0, b=0.0), 1.0)
+    for t in (1.0, [0.0, 1.0]):
+        with pytest.raises(SingularScale):
+            analytic_state(ModelParams(eta=0.0, J0=0.0, B=0.0), t)
+        with pytest.raises(SingularScale):
+            analytic_state(ModelParams(J=0.0, b=0.0), t)
+
+
+def test_stacked_closed_form_matches_scalar_form(rng):
+    # t = 0 first and t_max = 20 last, as on an `evolve` grid
+    times = np.linspace(0.0, 20.0, 401)
+    for p in [ModelParams(), ModelParams(gamma=0.0)] + [random_params(rng) for _ in range(5)]:
+        stack = analytic_state(p, times)
+        assert stack.shape == (len(times), 4, 4)
+        for t, rho in zip(times, stack):
+            one = analytic_state(p, float(t))
+            assert one.shape == (4, 4)
+            assert max_abs(rho - one) <= 1e-15
+        assert max_abs(stack[0] - initial_state(p.theta)) < 1e-12
 
 
 def test_steady_state_requires_dissipation():

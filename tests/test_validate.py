@@ -1,0 +1,46 @@
+"""The `validate` checks fail on the values they guard, at their bounds."""
+
+import numpy as np
+import pytest
+
+from spinchain.cli import main
+from spinchain.validate import conservation
+
+
+def _run():
+    """A valid X series: I/4 with coherence 0.1 in both blocks, at five times."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = rho[3, 0] = rho[1, 2] = rho[2, 1] = 0.1
+    return np.linspace(0.0, 1.0, 5), np.array([rho] * 5)
+
+
+@pytest.mark.parametrize("low,status", [(-2e-9, "FAIL"), (-5e-10, "PASS")])
+def test_conservation_reads_every_sample_eigenvalue(low, status):
+    # the true minimum, also when it is positive: block eigenvalues 1/4 +- 0.1
+    assert conservation([_run()]).values["min_eig"] == pytest.approx(0.15, abs=1e-15)
+    times, states = _run()
+    # one sample of the second run: outer block [[1/4, c], [c, 1/4]], eigenvalues 1/4 +- c
+    states[2, 0, 3] = states[2, 3, 0] = 0.25 - low
+    check = conservation([_run(), (times, states)])
+    assert check.status == status
+    assert check.values["min_eig"] == pytest.approx(low, abs=1e-15)
+
+
+@pytest.mark.parametrize("leak,status", [(2e-9, "FAIL"), (5e-10, "PASS")])
+def test_conservation_reads_off_pattern_entries(leak, status):
+    times, states = _run()
+    states[3, 0, 1] = states[3, 1, 0] = leak
+    check = conservation([_run(), (times, states)])
+    assert check.status == status
+    assert check.values["x_leakage"] == leak
+
+
+@pytest.mark.parametrize("dt,detail", [
+    ("0.5", "FAIL  analytic-vs-numeric           max|err| = "),
+    ("0.7", "FAIL  analytic-vs-numeric           integration unstable: RK4 amplification"),
+])
+def test_validate_exits_1_on_a_failing_check(dt, detail, capsys):
+    assert main(["validate", "--quick", "--dt", dt]) == 1
+    out = capsys.readouterr().out
+    assert detail in out
+    assert out.endswith("validate: FAIL (1 failing checks)\n")
