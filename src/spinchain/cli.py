@@ -1,32 +1,37 @@
 """Command-line front end: evolve / sweep / validate / plot.
 
-Scenario configs are flat ``key = value`` text files with ``#`` comments;
-every key has a matching command-line flag and flags override file values.
+Scenario configs are flat ``key = value`` text files with ``#`` comments.
+One table, `_KEYS`, gives every config key its type in flag order: the
+file parser, the command-line flags (which override file values) and the
+ScenarioConfig build all read it, and ScenarioConfig holds the defaults.
 Outputs are deterministic: CSV with 17 significant digits and LF line
 endings, SVG charts with fixed formatting. Exit codes: 0 ok, 1 validation
 failure, 2 config error, 3 numeric instability.
 
-An `evolve` or `sweep` run integrates every trajectory it needs (sweep
-points, mixture sectors, J0 = 0 references) in one `evolve` call, measures
-one point's stack at a time into one preallocated table, streams that
-table to the CSV in blocks of rows, and plots it from memory.
+`scenario_rows` owns the run layout of an `evolve` or `sweep` run: sweep
+point x J0 = 0 reference x mixture sector. It integrates every run in one
+`evolve` call and measures each (point, reference) entry into one
+preallocated table; the CSV is streamed from that table in blocks of rows
+and the plot drawn from it in memory. When a run is unstable, the entries
+before it are integrated again and measured first, so that the failure
+reported is the one a point-by-point run meets first.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, StepUnstable, evolve, record_from_state
-from .measures import EIG_CLAMP, BasisRotation, NotPositive, evaluate_measures, l1_coherence
+from .dynamics import EIG_CLAMP, IntegratorConfig, StepUnstable, evolve, record_from_state
+from .measures import BasisRotation, NotPositive, evaluate_measures, l1_coherence
 from .model import ModelParams, initial_state
-from .plotting import EmptyData, UnknownColumn, emit_plot, read_csv
+from .plotting import UnknownColumn, emit_plot, read_csv
 from .validate import run_validate
 
 CSV_COLUMNS = [
@@ -42,13 +47,16 @@ _CSV_BLOCK = 1024
 _DEAD_BELOW = 1e-9
 _DEAD_RUN = 3
 
-_PARAM_KEYS = ("J", "Jz", "eta", "J0", "B", "b", "gamma", "mu", "theta")
-_FLOAT_KEYS = {"J", "Jz", "eta", "J0", "B", "b", "gamma", "theta",
-               "t_max", "dt", "phi", "varphi"}
-_INT_KEYS = {"mu", "record_every"}
-_BOOL_KEYS = {"compare_j0_zero", "plot"}
-_STR_KEYS = {"mode", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+# every config key and its type, in the order of the command-line flags
+_KEYS = {
+    "out": str, "plot": bool,
+    "J": float, "Jz": float, "eta": float, "J0": float, "B": float, "b": float,
+    "gamma": float, "theta": float, "t_max": float, "dt": float,
+    "phi": float, "varphi": float,
+    "mu": int, "record_every": int, "mode": str, "compare_j0_zero": bool,
+}
+# the keys that set a ModelParams field, in field order
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 _MODES = ("single-sector", "sector-mixture")
 
@@ -69,8 +77,17 @@ class ScenarioConfig:
     phi: float | None = None
     varphi: float | None = None
     compare_j0_zero: bool = False
-    output_path: str | None = None
+    out: str | None = None
     plot: bool = False
+
+    def integrator(self) -> IntegratorConfig:
+        return IntegratorConfig(dt=self.dt, t_max=self.t_max, record_every=self.record_every)
+
+    def rotation(self) -> BasisRotation | None:
+        """The basis of the l1_rotated column; None for the computational basis."""
+        if self.phi is None and self.varphi is None:
+            return None
+        return BasisRotation(phi=self.phi or 0.0, varphi=self.varphi or 0.0)
 
 
 class Event(NamedTuple):
@@ -79,19 +96,16 @@ class Event(NamedTuple):
 
 
 def _coerce(key: str, raw: str, where: str):
+    kind = _KEYS[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "on", "1"):
                 return True
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -112,7 +126,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"{where}: duplicate key {key!r}")
@@ -123,87 +137,20 @@ def parse_config_file(path) -> dict:
 
 
 def scenario_from_entries(entries: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from typed entries."""
-    params_kwargs = {k: entries[k] for k in _PARAM_KEYS if k in entries}
-    mode = entries.get("mode", "single-sector")
+    """Build and validate a ScenarioConfig from typed entries; absent keys keep its defaults."""
+    mode = entries.get("mode", ScenarioConfig.mode)
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     try:
-        params = ModelParams(**params_kwargs)
         cfg = ScenarioConfig(
-            params=params,
-            mode=mode,
-            t_max=entries.get("t_max", 20.0),
-            dt=entries.get("dt", 1e-3),
-            record_every=entries.get("record_every", 10),
-            phi=entries.get("phi"),
-            varphi=entries.get("varphi"),
-            compare_j0_zero=entries.get("compare_j0_zero", False),
-            output_path=entries.get("out"),
-            plot=entries.get("plot", False),
-        )
-        # validate the integration window eagerly so errors surface as config errors
-        IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
+            ModelParams(**{k: entries[k] for k in _PARAM_KEYS if k in entries}),
+            **{k: entries[k] for k in _KEYS if k in entries and k not in _PARAM_KEYS})
+        # build the integration window and the rotation eagerly so errors surface as config errors
+        cfg.integrator()
+        cfg.rotation()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def _rotation_of(cfg: ScenarioConfig) -> BasisRotation | None:
-    if cfg.phi is None and cfg.varphi is None:
-        return None
-    return BasisRotation(phi=cfg.phi or 0.0, varphi=cfg.varphi or 0.0)
-
-
-def _measured_tables(cfg: ScenarioConfig, points: Sequence[ModelParams],
-                     rotation: BasisRotation | None) -> Iterator[np.ndarray]:
-    """The (T, 15) table of CSV_COLUMNS of each model point, in order.
-
-    Every point, or in sector-mixture mode each of its three sectors, is
-    integrated in one `evolve` call; then each point's (T, 4, 4) stack is
-    measured on its own. The guards fire as in a point-by-point run: when
-    a point is unstable, the points before it are measured first, so a
-    positivity loss among them is still the one reported. A StepUnstable
-    carries the failing point's `index`.
-
-    RK4 does not keep positivity, so a coarse but stable dt can leave a
-    recorded state with an eigenvalue below -EIG_CLAMP; that is an
-    integration failure, not a bad input.
-    """
-    if not points:
-        return
-    icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
-    # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
-    mus = (None,) if cfg.mode == "single-sector" else (1, 0, -1)
-    runs = [p if mu is None else replace(p, mu=mu) for p in points for mu in mus]
-    try:
-        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
-    except StepUnstable as exc:
-        exc.index //= len(mus)
-        yield from _measured_tables(cfg, points[:exc.index], rotation)
-        raise
-    for index in range(len(points)):
-        if len(mus) == 1:
-            point = states[index]
-        else:
-            plus, zero, minus = states[3 * index:3 * index + 3]
-            point = 0.25 * plus + 0.5 * zero + 0.25 * minus
-        try:
-            ms = evaluate_measures(point)
-        except NotPositive as exc:
-            raise StepUnstable(
-                f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
-                f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
-                index) from exc
-        rec = record_from_state(times, point, ms.min_eig)
-        l1_rot = ms.l1_coherence if rotation is None else l1_coherence(point, rotation)
-        yield np.column_stack([
-            rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
-            rec.abs_rho14, rec.abs_rho23,
-            ms.concurrence, ms.c1_branch, ms.c2_branch,
-            ms.l1_coherence, l1_rot, ms.lqfi,
-            rec.trace_dev, rec.min_eig,
-        ])
 
 
 def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]] | None = None
@@ -214,34 +161,71 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     non-time column is appended again with a ``_ref`` suffix. `sweep`
     holds (value, ModelParams) points that replace cfg.params: the table
     then stacks one block of rows per point, in order, behind a leading
-    ``sweep_value`` column, and a StepUnstable carries the `index` of the
-    point that failed. Every run, references included, is integrated in
-    one `evolve` call, and the blocks fill one preallocated table.
+    ``sweep_value`` column.
+
+    Every run (point x reference x sector) is integrated in one `evolve`
+    call, then each (point, reference) entry is measured into the table.
+    The guards fire as in a point-by-point run: when a run is unstable, the
+    whole entries before it are integrated again and measured first, so a
+    positivity loss among them is still the one reported. RK4 does not keep
+    positivity, so a coarse but stable dt can leave a recorded state with
+    an eigenvalue below -EIG_CLAMP; that is an integration failure too. A
+    StepUnstable carries the `index` of the failing point.
     """
     values, points = zip(*sweep) if sweep else ((), (cfg.params,))
     lead = 1 if sweep else 0
     header = ["sweep_value"] * lead + list(CSV_COLUMNS)
-    measured = list(points)
+    refs = (False,)
     if cfg.compare_j0_zero:
         header += [name + "_ref" for name in CSV_COLUMNS[1:]]
-        measured = [q for p in points for q in (p, replace(p, J0=0.0))]
-    per_point = len(measured) // len(points)
-    table = None
+        refs = (False, True)
+    # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
+    mus = (None,) if cfg.mode == "single-sector" else (1, 0, -1)
+    entries = [replace(p, J0=0.0) if ref else p for p in points for ref in refs]
+    runs = [p if mu is None else replace(p, mu=mu) for p in entries for mu in mus]
+    icfg, rotation = cfg.integrator(), cfg.rotation()
+    unstable = None
     try:
-        for i, rows in enumerate(_measured_tables(cfg, measured, _rotation_of(cfg))):
-            point, is_ref = divmod(i, per_point)
-            if table is None:
-                table = np.empty((len(points) * len(rows), len(header)))
-            block = table[point * len(rows):(point + 1) * len(rows)]
-            if is_ref:
-                block[:, lead + len(CSV_COLUMNS):] = rows[:, 1:]
-            else:
-                block[:, lead:lead + len(CSV_COLUMNS)] = rows
-            if sweep:
-                block[:, 0] = values[point]
+        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
     except StepUnstable as exc:
-        exc.index //= per_point
-        raise
+        unstable, runs = exc, runs[:exc.index - exc.index % len(mus)]
+        exc.index //= len(mus) * len(refs)
+        if not runs:
+            raise
+        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
+    table = np.empty((len(points) * len(times), len(header)))
+    for first in range(0, len(runs), len(mus)):
+        point, is_ref = divmod(first // len(mus), len(refs))
+        if len(mus) == 1:
+            rho = states[first]
+        else:
+            plus, zero, minus = states[first:first + 3]
+            rho = 0.25 * plus + 0.5 * zero + 0.25 * minus
+        try:
+            ms = evaluate_measures(rho)
+        except NotPositive as exc:
+            raise StepUnstable(
+                f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
+                f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
+                point) from exc
+        rec = record_from_state(times, rho, ms.min_eig)
+        l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
+        rows = np.column_stack([
+            rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
+            rec.abs_rho14, rec.abs_rho23,
+            ms.concurrence, ms.c1_branch, ms.c2_branch,
+            ms.l1_coherence, l1_rot, ms.lqfi,
+            rec.trace_dev, rec.min_eig,
+        ])
+        block = table[point * len(times):(point + 1) * len(times)]
+        if is_ref:
+            block[:, lead + len(CSV_COLUMNS):] = rows[:, 1:]
+        else:
+            block[:, lead:lead + len(CSV_COLUMNS)] = rows
+        if sweep:
+            block[:, 0] = values[point]
+    if unstable is not None:
+        raise unstable
     return header, table
 
 
@@ -310,9 +294,9 @@ def _crossing(t0, v0, t1, v1) -> float:
 # subcommands
 
 
-def run_evolve(cfg: ScenarioConfig, out_path=None) -> int:
+def run_evolve(cfg: ScenarioConfig) -> int:
     header, rows = scenario_rows(cfg)
-    path = Path(out_path or cfg.output_path or "evolve.csv")
+    path = Path(cfg.out or "evolve.csv")
     write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} samples)")
     concurrence = rows[:, CSV_COLUMNS.index("concurrence")]
@@ -327,7 +311,7 @@ def run_evolve(cfg: ScenarioConfig, out_path=None) -> int:
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
-              count: int, out_path=None) -> int:
+              count: int) -> int:
     if param not in _PARAM_KEYS:
         raise ConfigError(f"sweep parameter must be one of {_PARAM_KEYS}, got {param!r}")
     if count < 2:
@@ -348,7 +332,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         header, rows = scenario_rows(cfg, sweep)
     except StepUnstable as exc:
         raise StepUnstable(f"sweep point {param}={sweep[exc.index][0]:g}: {exc}") from exc
-    path = Path(out_path or cfg.output_path or "sweep.csv")
+    path = Path(cfg.out or "sweep.csv")
     write_csv(path, header, rows)
     print(f"wrote {path} ({count} values of {param} x {len(rows) // count} samples)")
     return 0
@@ -364,16 +348,15 @@ def run_plot(csv_path, columns: list[str], out_path) -> int:
 # argument parsing
 
 
-def _add_override_flags(sub):
-    for key in ("J", "Jz", "eta", "J0", "B", "b", "gamma", "theta",
-                "t-max", "dt", "phi", "varphi"):
-        sub.add_argument(f"--{key}", type=float, default=None,
-                         dest=key.replace("-", "_"))
-    sub.add_argument("--mu", type=int, default=None)
-    sub.add_argument("--record-every", type=int, default=None, dest="record_every")
-    sub.add_argument("--mode", choices=_MODES, default=None)
-    sub.add_argument("--compare-j0-zero", action="store_const", const=True,
-                     default=None, dest="compare_j0_zero")
+def _add_key_flags(sub, keys):
+    """One flag per config key, typed by _KEYS; an absent flag leaves the file value."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if _KEYS[key] is bool:
+            sub.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            sub.add_argument(flag, type=_KEYS[key], default=None,
+                             choices=_MODES if key == "mode" else None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,9 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="integrate one scenario and write a CSV")
     p_evolve.add_argument("--config", required=True)
-    p_evolve.add_argument("--out", default=None)
-    p_evolve.add_argument("--plot", action="store_const", const=True, default=None)
-    _add_override_flags(p_evolve)
+    _add_key_flags(p_evolve, _KEYS)
 
     p_sweep = sub.add_parser("sweep", help="run a linear grid over one parameter")
     p_sweep.add_argument("--config", required=True)
@@ -394,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--count", type=int, required=True)
-    p_sweep.add_argument("--out", default=None)
-    _add_override_flags(p_sweep)
+    # a sweep writes no plot, so it has no --plot and ignores a plot key
+    _add_key_flags(p_sweep, [key for key in _KEYS if key != "plot"])
 
     p_validate = sub.add_parser("validate", help="cross-check the computation routes")
     p_validate.add_argument("--quick", action="store_true")
@@ -412,21 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _scenario_from_args(args) -> ScenarioConfig:
     entries = parse_config_file(args.config)
-    overrides = {}
-    for key in _PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("t_max", "dt", "record_every", "phi", "varphi",
-                "mode", "compare_j0_zero"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "plot", None) is not None:
-        overrides["plot"] = True
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    entries.update(overrides)
+    entries.update({key: getattr(args, key) for key in _KEYS
+                    if getattr(args, key, None) is not None})
     return scenario_from_entries(entries)
 
 
@@ -434,32 +402,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "evolve":
-            cfg = _scenario_from_args(args)
-            return run_evolve(cfg)
+            return run_evolve(_scenario_from_args(args))
         if args.command == "sweep":
-            cfg = _scenario_from_args(args)
-            return run_sweep(cfg, args.param, args.start, args.stop, args.count)
+            return run_sweep(_scenario_from_args(args), args.param, args.start, args.stop,
+                             args.count)
         if args.command == "validate":
             return run_validate(quick=args.quick, dt=args.dt, gamma=args.gamma)
-        if args.command == "plot":
-            columns = [c for c in args.columns.split(",") if c]
-            return run_plot(args.csv, columns, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownColumn, EmptyData) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"config error: {detail}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        columns = [c for c in args.columns.split(",") if c]
+        return run_plot(args.csv, columns, args.out)
     except StepUnstable as exc:
         print(f"numeric instability: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, UnknownColumn, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+        # str() of a KeyError quotes its message
+        detail = exc.args[0] if isinstance(exc, UnknownColumn) else exc
+        print(f"config error: {detail}", file=sys.stderr)
         return 2
 
 

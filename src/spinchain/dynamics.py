@@ -64,9 +64,11 @@ X_FORM_TOL = 1e-9
 # largest max |a_ij - conj(a_ji)| accepted for a state or a generator
 HERMITIAN_TOL = 1e-10
 
-# density-matrix invariants enforced on the initial state of a run
+# density eigenvalues in [-EIG_CLAMP, 0) count as roundoff; below is an error
+EIG_CLAMP = 1e-9
+
+# trace budget enforced on the initial state of a run
 _TRACE_TOL = 1e-9
-_EIG_FLOOR = -1e-9
 
 # row-major vec(rho) position of each entry of rho transposed
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
@@ -192,8 +194,8 @@ def validate_density(rho) -> np.ndarray:
     if tr_dev > _TRACE_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
     min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
-    if min_eig < _EIG_FLOOR:
-        raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {_EIG_FLOOR:.3e}")
+    if min_eig < -EIG_CLAMP:
+        raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {-EIG_CLAMP:.3e}")
     return r
 
 

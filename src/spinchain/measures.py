@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
+    EIG_CLAMP,
     HERMITIAN_TOL,
     X_FORM_TOL,
     hermiticity_defect,
@@ -59,9 +60,6 @@ from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # eigenvalue pairs with p_i + p_j at or below this are dropped from the sums
 PAIR_EPS = 1e-12
-
-# density eigenvalues in [-EIG_CLAMP, 0) are treated as 0; below is an error
-EIG_CLAMP = 1e-9
 
 # sigma_l x I for l = x, y, z
 _LOCAL_OBS = np.stack([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])

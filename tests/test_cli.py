@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,10 @@ from spinchain import (
     l1_coherence,
     record_from_state,
 )
+from spinchain import cli
 from spinchain.cli import (
     _CSV_BLOCK,
+    _KEYS,
     CSV_COLUMNS,
     ConfigError,
     ScenarioConfig,
@@ -96,6 +98,8 @@ def test_scenario_from_entries_defaults():
     {"dt": 0.0},
     {"gamma": -1.0},
     {"record_every": 0},
+    {"phi": math.nan},
+    {"varphi": math.inf},
 ])
 def test_scenario_from_entries_rejects(entries):
     with pytest.raises(ConfigError):
@@ -137,12 +141,45 @@ def test_evolve_output_is_byte_deterministic(conf, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_evolve_flag_overrides_config(conf, tmp_path):
+# a file value and a different flag value for every config key; the file
+# values differ from the defaults where a flag can set anything but True
+_KEY_VALUES = {
+    "out": ("file.csv", "flag.csv"), "plot": (False, True),
+    "J": (2.5, 1.5), "Jz": (0.1, 0.3), "eta": (0.3, 0.4), "J0": (0.7, 0.5),
+    "B": (0.3, 0.1), "b": (2.5, 1.5), "gamma": (0.25, 0.1), "theta": (0.5, 0.3),
+    "t_max": (0.4, 0.3), "dt": (0.004, 0.002), "phi": (0.1, 0.2), "varphi": (0.3, 0.4),
+    "mu": (0, -1), "record_every": (3, 5), "mode": ("sector-mixture", "single-sector"),
+    "compare_j0_zero": (False, True),
+}
+
+
+def test_evolve_flag_overrides_config(conf, tmp_path, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(["evolve", "--config", str(conf), "--out", str(a)]) == 0
     assert main(["evolve", "--config", str(conf), "--out", str(b), "--b", "9.9"]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+    # every key of the table: the scenario holds the flag's value, not the file's
+    assert _KEY_VALUES.keys() == _KEYS.keys()
+    full = tmp_path / "full.conf"
+    full.write_text("".join(f"{key} = {values[0]}\n" for key, values in _KEY_VALUES.items()))
+    seen = []
+    monkeypatch.setattr(cli, "run_evolve", lambda cfg: seen.append(cfg) or 0)
+    param_keys = {f.name for f in fields(ModelParams)}
+
+    def value(cfg, key):
+        return getattr(cfg.params if key in param_keys else cfg, key)
+
+    assert main(["evolve", "--config", str(full)]) == 0
+    for key, (file_value, _) in _KEY_VALUES.items():
+        assert value(seen[-1], key) == file_value, key
+    for key, (file_value, flag_value) in _KEY_VALUES.items():
+        flag = ["--" + key.replace("_", "-")]
+        if not isinstance(flag_value, bool):
+            flag.append(str(flag_value))
+        assert main(["evolve", "--config", str(full)] + flag) == 0
+        assert value(seen[-1], key) == flag_value != file_value, key
 
 
 def test_evolve_reports_death_and_revival(conf, tmp_path, capsys):
@@ -443,6 +480,33 @@ def test_step_outside_stability_region_exit_code(conf, tmp_path, capsys):
                  "--dt", "0.7", "--t-max", "10"])
     assert code == 3
     assert "reduce dt" in capsys.readouterr().err
+
+
+def test_non_finite_rotation_is_a_config_error(conf, tmp_path, capsys):
+    # the rotation is checked with the scenario, before dt = 0.7 fails the stability gate
+    code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
+                 "--phi", "nan", "--dt", "0.7", "--t-max", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: phi must be finite\n"
+
+
+@pytest.mark.parametrize("b,fragments", [
+    # the main run (Delta = J0 mu + B = 1.2) loses positivity at t = 0.03 and is
+    # measured before the unstable J0 = 0 reference (Delta = -150) is reported
+    ("3", ["integrated state at t=0.03", "min_eig -1.088e-09"]),
+    ("2", ["RK4 amplification factor 1.50165"]),
+])
+def test_failure_order_inside_one_point(conf, tmp_path, capsys, b, fragments):
+    code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
+                 "--b", b, "--J0", "151.2", "--B", "-150", "--dt", "0.01", "--t-max", "10",
+                 "--record-every", "1", "--compare-j0-zero"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric instability: ")
+    for fragment in fragments:
+        assert fragment in err
+    assert ("amplification factor" in err) == (b == "2")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_positivity_lost_at_stable_dt_exit_code(conf, tmp_path, capsys):
