@@ -19,21 +19,24 @@ fixed-step 4th-order Runge-Kutta scheme.
 The generator is linear, so one RK4 step of length dt is exactly the matrix
 polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 with A = dt L, where L is the
 16x16 Liouvillian acting on vec(rho) (the degree-4 Taylor polynomial of
-exp(dt L); Hairer & Wanner, Solving ODEs II, IV.2). `evolve` builds L column
-by column from the generic right-hand side, forms P once and applies its
-powers between samples. Because L annihilates the trace, P preserves it
-exactly, so divergence never shows as trace loss: stability is decided
-before integrating, from the spectral radius of P (the RK4 amplification
-factor max |R(dt lambda)| over the eigenvalues lambda of L). The two
-identities every RK4 step keeps, trace and Hermiticity, are kept exact in
-the propagation too, so that the rounding of the one matrix applied at
-every sample cannot accumulate in them.
+exp(dt L); Hairer & Wanner, Solving ODEs II, IV.2). `evolve` builds L by
+applying the generic right-hand side to the 16 basis matrices, forms P once
+and fills the samples a block at a time, applying the stacked powers S, S^2, ..., S^32 of
+the stride S = P^record_every to the first state of each block. Because L
+annihilates the trace, P preserves it exactly, so divergence never shows as
+trace loss: stability is decided before integrating, from the spectral
+radius of P (the RK4 amplification factor max |R(dt lambda)| over the
+eigenvalues lambda of L). The two identities every RK4 step keeps, trace
+and Hermiticity, are kept exact in the propagation too, so that the
+rounding of the matrices applied block after block cannot accumulate in
+them.
 
 `evolve` returns arrays, (times[T], states[..., T, 4, 4]). Given a
 sequence of N parameter points (a sweep, the sectors of a mixture) it
 builds the (N, 16, 16) propagators, gates each for stability, and steps
-all N in one loop of stacked matrix-vector products, so each point's
-states are bit for bit those of its own call.
+all N in one loop of stacked matrix-vector products. The block length does
+not depend on N, so each point's states are bit for bit those of its own
+call.
 
 The per-sample helpers (`x_components`, `x_leakage`, `hermiticity_defect`,
 `record_from_state`) take one 4x4 state or a (T, 4, 4) stack of states and
@@ -69,6 +72,9 @@ EIG_CLAMP = 1e-9
 
 # trace budget enforced on the initial state of a run
 _TRACE_TOL = 1e-9
+
+# evolve fills this many samples per matmul, from a stack of stride powers
+_SAMPLE_BLOCK = 32
 
 # row-major vec(rho) position of each entry of rho transposed
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
@@ -171,9 +177,18 @@ def max_abs(a) -> float:
 
 
 def hermiticity_defect(a) -> float | np.ndarray:
-    """max |a_ij - conj(a_ji)| of a square matrix, per matrix of a stack."""
+    """max |a_ij - conj(a_ji)| of a square matrix, per matrix of a stack.
+
+    The root of the largest re^2 + im^2 of the difference: one square root
+    per matrix rather than a complex abs per entry.
+    """
     m = np.asarray(a, dtype=complex)
-    return per_state(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)))
+    sq = m.real - m.real.swapaxes(-1, -2)
+    im = m.imag + m.imag.swapaxes(-1, -2)
+    sq *= sq
+    im *= im
+    sq += im
+    return per_state(np.sqrt(np.max(sq, axis=(-2, -1))))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -233,7 +248,7 @@ def _liouvillian(h, pre) -> np.ndarray:
     matrix knows nothing of the X structure.
     """
     basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
-    return np.stack([_rhs(e, h, pre).reshape(16) for e in basis], axis=1)
+    return _rhs(basis, h, pre).reshape(16, 16).T
 
 
 def _rk4_step(gen: np.ndarray, h: float) -> np.ndarray:
@@ -272,14 +287,29 @@ def _keep_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m[..., _TRANSPOSED[:, None], _TRANSPOSED].conj())
 
 
-def _advance(m: np.ndarray, v: np.ndarray, out: np.ndarray, trace: np.ndarray) -> None:
-    """out = m @ v per point, with rho44 set from the trace, which every RK4 step keeps exactly.
+def _stride_powers(stride: np.ndarray, count: int) -> np.ndarray:
+    """The powers S, S^2, ..., S^count of each point's stride matrix S, (N, count, 16, 16).
 
-    The same rounded matrix is applied at every sample, so its rounding
-    would otherwise move the trace by the same amount each time.
+    Each power is kept Hermiticity-preserving like S itself.
     """
-    np.matmul(m, v[..., None], out=out[..., None])
-    out[..., 15] = trace - out[..., 0] - out[..., 5] - out[..., 10]
+    powers = np.empty((len(stride), count, 16, 16), dtype=complex)
+    powers[:, :1] = stride[:, None]
+    for j in range(1, count):
+        powers[:, j] = _keep_hermitian(stride @ powers[:, j - 1])
+    return powers
+
+
+def _fill(states: np.ndarray, k: int, maps: np.ndarray, trace: np.ndarray) -> None:
+    """Fill the samples after states[:, k] with the (N, b, 16, 16) maps applied to it, in one matmul.
+
+    Sample k+j is maps[:, j-1] @ states[:, k], with rho44 then set from the
+    trace, which every RK4 step keeps exactly. The same rounded matrices are
+    applied block after block, so their rounding would otherwise move the
+    trace by the same amount each time.
+    """
+    block = states[:, k + 1:k + 1 + maps.shape[1]]
+    np.matmul(maps, states[:, k, None, :, None], out=block[..., None])
+    block[..., 15] = trace[:, None] - block[..., 0] - block[..., 5] - block[..., 10]
 
 
 def _step_split(t_max: float, dt: float) -> tuple[int, float]:
@@ -310,6 +340,11 @@ def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig |
     (times[T], states) sampled at t = 0, every `cfg.record_every` steps,
     and t = `cfg.t_max`. When t_max is not a whole number of steps, one
     exact RK4 step of the remaining length ends the run at t_max.
+
+    The samples are filled 32 at a time, each block in one matmul of the
+    stacked stride powers S, S^2, ..., S^32 with the block's first state.
+    They are within 1e-13 of repeated single stride steps, not bit for
+    bit equal to them.
 
     `p` is one ModelParams, giving states[T, 4, 4], or a sequence of N,
     giving states[N, T, 4, 4]: the N propagators are built and stepped
@@ -353,10 +388,11 @@ def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig |
     states[:, 0] = rho.reshape(-1, 16)
     trace = np.trace(rho, axis1=-2, axis2=-1)
     n_strides = n_steps // every
-    for k in range(1, n_strides + 1):
-        _advance(stride, states[:, k - 1], states[:, k], trace)
+    powers = _stride_powers(stride, min(n_strides, _SAMPLE_BLOCK))
+    for start in range(0, n_strides, _SAMPLE_BLOCK):
+        _fill(states, start, powers[:, :n_strides - start], trace)
     if not ends_on_stride:
-        _advance(last, states[:, n_strides], states[:, -1], trace)
+        _fill(states, n_strides, last[:, None], trace)
     states = states.reshape(len(points), len(times), 4, 4)
     return np.array(times), states[0] if isinstance(p, ModelParams) else states
 

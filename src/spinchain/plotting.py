@@ -78,14 +78,14 @@ def emit_plot(header, rows, columns, out_path) -> None:
             raise UnknownColumn(f"column {name!r} not in header {header}")
 
     table = np.asarray(rows, dtype=float)
-    xs = table[:, 0].tolist()
-    series = {name: table[:, index[name]].tolist() for name in columns}
+    xs = table[:, 0]
+    ys = table[:, [index[name] for name in columns]]
 
-    x_lo, x_hi = min(xs), max(xs)
-    y_values = [v for vals in series.values() for v in vals if v == v]  # drop NaN
-    if not y_values:
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_values = ys[ys == ys]  # drop NaN
+    if not y_values.size:
         raise EmptyData("requested columns hold no finite values")
-    y_lo, y_hi = min(y_values), max(y_values)
+    y_lo, y_hi = float(y_values.min()), float(y_values.max())
     if y_hi == y_lo:
         pad = abs(y_hi) * 0.1 or 1.0
         y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -98,10 +98,11 @@ def emit_plot(header, rows, columns, out_path) -> None:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # pixel coordinates of a value or an array of values, with the same rounding
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = []
@@ -135,10 +136,10 @@ def emit_plot(header, rows, columns, out_path) -> None:
 
     for k, name in enumerate(columns):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(xs, series[name])
-            if y == y and abs(y) != float("inf"))
+        finite = np.isfinite(ys[:, k])
+        with np.errstate(invalid="ignore"):  # an infinite y range gives nan, as floats do
+            xy = np.column_stack([px(xs[finite]), py(ys[finite, k])])
+        points = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 18 * k

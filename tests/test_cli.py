@@ -312,7 +312,6 @@ def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
     assert path.read_bytes() == (",".join(header) + "\n" + expected).encode("ascii")
 
 
-
 def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
     header = ["a", "b", "c"]
     rows = rng.normal(size=(2 * _CSV_BLOCK + 3, 3)) * 10.0 ** rng.integers(-30, 30, size=(1, 3))
@@ -322,6 +321,7 @@ def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
         expected = "".join(",".join(map(format_csv_value, row)) + "\n"
                            for row in rows[:n_rows].tolist())
         assert path.read_bytes() == ("a,b,c\n" + expected).encode("ascii")
+
 
 def test_evolve_plot_flag_writes_svg(conf, tmp_path):
     out = tmp_path / "run.csv"

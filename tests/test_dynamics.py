@@ -8,9 +8,11 @@ from spinchain import (
     IntegratorConfig,
     ModelParams,
     NoDissipation,
+    NotHermitian,
     SingularScale,
     StepUnstable,
     analytic_state,
+    evaluate_measures,
     evolve,
     hamiltonian_block,
     initial_state,
@@ -22,7 +24,17 @@ from spinchain import (
     x_components,
     x_leakage,
 )
-from spinchain.dynamics import TimeSeriesRecord, hermiticity_defect, max_abs
+from spinchain.dynamics import (
+    _SAMPLE_BLOCK,
+    HERMITIAN_TOL,
+    TimeSeriesRecord,
+    _keep_hermitian,
+    _liouvillian,
+    _precompute_jumps,
+    _rk4_step,
+    hermiticity_defect,
+    max_abs,
+)
 
 
 # --- structure helpers ------------------------------------------------------
@@ -37,6 +49,29 @@ def test_hermiticity_defect(rng):
     assert hermiticity_defect(h) == 0.0
     h[0, 1] += 1e-3
     assert hermiticity_defect(h) >= 1e-3 / 2
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_hermiticity_guard_at_half_and_twice_the_tolerance(rng, scale):
+    skew = scale * HERMITIAN_TOL * (0.6 + 0.8j)  # both parts count: |skew| = scale * tol
+    stack = np.array([random_x_state(rng) for _ in range(6)])
+    stack[2, 0, 3] += skew
+    stack[4, 1, 2] += 1.5 * skew  # larger, but later
+    defect = hermiticity_defect(stack)
+    assert defect[[0, 1, 3, 5]].tolist() == [0.0] * 4
+    assert defect[2] == pytest.approx(scale * HERMITIAN_TOL, rel=1e-5)
+    assert defect[4] == pytest.approx(1.5 * scale * HERMITIAN_TOL, rel=1e-5)
+    for k in (2, 4):
+        assert hermiticity_defect(stack[k]) == defect[k]
+    if scale < 1:
+        evaluate_measures(stack)
+        validate_density(stack[2])
+        return
+    # the first offender is named, with its own defect
+    with pytest.raises(NotHermitian, match=r"^state hermiticity defect 2\.000e-10 exceeds 1e-10$"):
+        evaluate_measures(stack)
+    with pytest.raises(ValueError, match=r"^density matrix hermiticity defect 2\.000e-10 > 1\.000e-10$"):
+        validate_density(stack[2])
 
 
 def test_x_components_extraction(rng):
@@ -245,6 +280,67 @@ def test_halving_dt_shrinks_error_by_rk4_factor():
     assert errors[2e-3] / errors[1e-3] >= 8.0
 
 
+# --- block sampling ---------------------------------------------------------------
+
+def _stride_loop(p, cfg, n_strides, rem, short):
+    """The samples of one stride step per sample, each with rho44 set from the trace."""
+    gen = _liouvillian(hamiltonian_block(p), _precompute_jumps(jump_operators(p)))
+    step = _rk4_step(gen, cfg.dt)
+    stride = _keep_hermitian(np.linalg.matrix_power(step, cfg.record_every))
+    last = np.linalg.matrix_power(step, rem)
+    if short:
+        last = _rk4_step(gen, short) @ last
+    v = initial_state(p.theta).reshape(16)
+    trace = v[0] + v[5] + v[10] + v[15]
+    samples = [v]
+    for m in [stride] * n_strides + ([_keep_hermitian(last)] if rem or short else []):
+        v = m @ v
+        v[15] = trace - v[0] - v[5] - v[10]
+        samples.append(v)
+    return np.array(samples).reshape(-1, 4, 4)
+
+
+B = _SAMPLE_BLOCK
+
+
+@pytest.mark.parametrize("n_strides", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("tail", [False, True])
+def test_block_sampling_matches_a_stride_loop(n_strides, every, tail):
+    # with a tail the run also ends on whole steps short of a stride and a half step
+    p = ModelParams()
+    dt, rem = 0.01, every // 2 if tail else 0
+    short = dt / 2 if tail else 0.0
+    cfg = IntegratorConfig(dt=dt, t_max=(n_strides * every + rem) * dt + short, record_every=every)
+    times, states = evolve(initial_state(p.theta), p, cfg)
+    expected = _stride_loop(p, cfg, n_strides, rem, short)
+    assert len(times) == len(states) == len(expected) == n_strides + 1 + tail
+    assert max_abs(states - expected) <= 1e-13
+    # rho44 of every stepped sample is the trace left by the other three populations
+    trace = np.trace(states[0])
+    rest = trace - states[1:, 0, 0] - states[1:, 1, 1] - states[1:, 2, 2]
+    assert np.array_equal(states[1:, 3, 3], rest)
+
+
+@pytest.mark.parametrize("t_max", [20.0, 20.0005])
+def test_evolve_fills_each_block_of_samples_in_one_matmul(monkeypatch, t_max):
+    # 2000 strides: a loop of one matmul per sample would make 2000 calls, blocks make 63
+    p = ModelParams()
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, record_every=10)
+    calls = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        if np.shape(b)[-1] == 1:  # a map applied to the state vectors
+            calls.append(np.shape(a))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    times, _ = evolve(initial_state(p.theta), p, cfg)
+    n_strides, tail = 2000, t_max != 20.0
+    assert len(times) == n_strides + 1 + tail
+    assert 0 < len(calls) <= math.ceil(n_strides / B) + tail
+
 
 # --- batched integration --------------------------------------------------------
 
@@ -259,10 +355,11 @@ def _assert_batch_matches_single_calls(rho0, points, cfg):
 
 @pytest.mark.parametrize("t_max", [0.2, 0.2005])
 def test_batched_points_match_single_calls(t_max):
-    # 200 whole steps, not a multiple of the stride; the second window adds a short tail step
+    # 200 whole steps, not a multiple of the stride: 66 strides, three blocks of samples;
+    # the second window adds a short tail step
     points = [ModelParams(b=b, mu=mu) for b in (0.5, 1.5, 2.5) for mu in (1, 0, -1)]
     _assert_batch_matches_single_calls(initial_state(math.pi / 4), points,
-                                       IntegratorConfig(dt=1e-3, t_max=t_max, record_every=7))
+                                       IntegratorConfig(dt=1e-3, t_max=t_max, record_every=3))
 
 
 def test_batched_theta_sweep_matches_single_calls():
@@ -270,8 +367,9 @@ def test_batched_theta_sweep_matches_single_calls():
     thetas = np.linspace(0.0, 1.5, 4)
     points = [ModelParams(theta=float(theta)) for theta in thetas]
     rho0 = np.stack([initial_state(theta) for theta in thetas])
+    # 33 strides, two blocks of samples, then a short tail step
     _assert_batch_matches_single_calls(rho0, points,
-                                       IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=7))
+                                       IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=3))
 
 
 def test_batched_evolve_rejects_mismatched_inputs():

@@ -1,6 +1,10 @@
+import math
+import re
+
 import pytest
 
-from spinchain.plotting import EmptyData, UnknownColumn, emit_plot, read_csv
+from spinchain.cli import main, write_csv
+from spinchain.plotting import EmptyData, UnknownColumn, _ticks, emit_plot, read_csv
 
 
 @pytest.fixture
@@ -69,3 +73,62 @@ def test_emit_plot_constant_series(tmp_path):
     out = tmp_path / "flat.svg"
     emit_plot(*read_csv(path), ["x"], out)
     assert out.read_text().count("<polyline") == 1
+
+
+def _per_point_reference(header, rows, columns):
+    """The polylines and axis labels of a table, one Python step per point.
+
+    This is how `emit_plot` computed them before it took whole columns as
+    arrays; the array form must give the same bytes.
+    """
+    index = {name: i for i, name in enumerate(header)}
+    xs = [row[0] for row in rows]
+    series = {name: [row[index[name]] for row in rows] for name in columns}
+    x_lo, x_hi = min(xs), max(xs)
+    y_values = [v for vals in series.values() for v in vals if v == v]
+    y_lo, y_hi = min(y_values), max(y_values)
+    pad = abs(y_hi) * 0.1 or 1.0 if y_hi == y_lo else 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+
+    def px(x):
+        return 72 + (x - x_lo) / (x_hi - x_lo) * 764
+
+    def py(y):
+        return 24 + (y_hi - y) / (y_hi - y_lo) * 444
+
+    polylines = [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
+                          if y == y and abs(y) != math.inf)
+                 for name in columns]
+    x_labels = [format(v, ".4g") for v in _ticks(x_lo, x_hi)] + [header[0]]
+    return polylines, x_labels, [format(v, ".4g") for v in _ticks(y_lo, y_hi)]
+
+
+_EDGE = [0.0, 0.125, 0.375, 1.005, 2.675, 763.995, 764.0]  # pixel offsets at the .2f rounding edge
+_EDGE_TABLES = {
+    "nan": [[x, math.sin(x), math.nan if k % 3 == 1 else x / 100] for k, x in enumerate(_EDGE)],
+    "inf": [[x, math.inf if k == 2 else 0.5, -math.inf if k == 4 else x] for k, x in enumerate(_EDGE)],
+    "one-sided inf": [[x, math.inf if k == 1 else x, 1.0 - x] for k, x in enumerate(_EDGE)],
+    "constant": [[x, 0.25, 0.0] for x in _EDGE],
+    "zero": [[x, 0.0, 0.0] for x in _EDGE],
+    "single row": [[1.5, 0.125, -0.375]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_TABLES))
+def test_emit_plot_matches_the_per_point_generator(case, tmp_path):
+    header, rows = ["t", "a", "b"], _EDGE_TABLES[case]
+    out = tmp_path / "chart.svg"
+    emit_plot(header, rows, ["a", "b"], out)
+    body = out.read_text(encoding="ascii")
+    polylines, x_labels, y_labels = _per_point_reference(header, rows, ["a", "b"])
+    assert re.findall(r'<polyline points="([^"]*)"', body) == polylines
+    assert re.findall(r'text-anchor="middle">([^<]*)</text>', body) == x_labels
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', body) == y_labels
+    # the plot subcommand on the written CSV draws the same bytes
+    csv = tmp_path / "table.csv"
+    write_csv(csv, header, rows)
+    replot = tmp_path / "replot.svg"
+    assert main(["plot", "--csv", str(csv), "--columns", "a,b", "--out", str(replot)]) == 0
+    assert replot.read_bytes() == out.read_bytes()
