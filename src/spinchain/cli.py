@@ -71,9 +71,9 @@ class ScenarioConfig:
 
     params: ModelParams
     mode: str = "single-sector"
-    t_max: float = 20.0
-    dt: float = 1e-3
-    record_every: int = 10
+    t_max: float = IntegratorConfig.t_max
+    dt: float = IntegratorConfig.dt
+    record_every: int = IntegratorConfig.record_every
     phi: float | None = None
     varphi: float | None = None
     compare_j0_zero: bool = False
@@ -284,8 +284,7 @@ def detect_events(times, values) -> list[Event]:
 
 
 def _crossing(t0, v0, t1, v1) -> float:
-    if v1 == v0:
-        return 0.5 * (t0 + t1)
+    # one of the two samples is dead (< _DEAD_BELOW) and the other is not, so v0 != v1
     lam = (v0 - _DEAD_BELOW) / (v0 - v1)
     return float(t0 + lam * (t1 - t0))
 

@@ -16,24 +16,23 @@ the diagonal, as sometimes written, breaks the identity on low-rank states
 (a pure product state then scores a spurious Q = 1); that variant is kept
 as `lqfi_paper_variant` for comparison.
 
-LQFI has three routes. On X states (Kim, Li, Kumar & Wu, PRA 97, 032326,
-2018, specialized) M is block diagonal and follows in closed form from the
-eigenpairs of the two 2x2 blocks, outer {|00>, |11>} and inner
-{|01>, |10>}; `lqfi` takes this route whenever every state is X-form,
-because it is about ten times faster than the next one. Any other
-state goes through a stacked eigh and the einsums of `_m_matrix`. Both
-share M's formula, so `lqfi_bruteforce` checks both without forming M:
-qfi(rho, r.sigma x I) is a quadratic form in r, so its 3x3 matrix follows
-exactly from six generic `qfi` calls by polarization, and the minimum over
-unit r is its smallest eigenvalue.
+LQFI has two routes, as concurrence does. On X states (Kim, Li, Kumar &
+Wu, PRA 97, 032326, 2018, specialized) M is block diagonal and follows in
+closed form from the eigenpairs of the two 2x2 blocks, outer {|00>, |11>}
+and inner {|01>, |10>}: `lqfi` and `lqfi_paper_variant` take this route
+and raise NotXForm for any other state, as `concurrence_x` does.
+`lqfi_bruteforce` is the generic route for any state and checks the
+closed form without forming M: qfi(rho, r.sigma x I) is a quadratic form
+in r, so its 3x3 matrix follows exactly from six generic `qfi` calls by
+polarization, and the minimum over unit r is its smallest eigenvalue.
 
 The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
 (T, 4, 4) stack and return floats for one state and length-T arrays for a
 stack, so a whole trajectory is measured in one call. Their guards check
-every element and raise for the first one that fails. `evaluate_measures`
-solves each state's two blocks once: the block spectra give `lqfi` and
-the `min_eig` it reports, with no eigh. The generic routes
+every element and raise for the first one that fails. No eigh runs in
+them: `evaluate_measures` solves each state's two blocks once, and the
+block spectra give `lqfi` and the `min_eig` it reports. The generic routes
 (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) stay single-state
 cross-checks.
 """
@@ -131,10 +130,7 @@ def concurrence_x(rho) -> XConcurrence:
     Raises NotXForm when any off-pattern entry of a state exceeds the X
     budget.
     """
-    bad = _first_above(x_leakage(rho), X_FORM_TOL)
-    if bad:
-        raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
-    c = x_components(rho)
+    c = x_components(_x_form_states(rho))
     c1 = magnitude(c.rho23) - np.sqrt(np.maximum(c.rho11, 0.0) * np.maximum(c.rho44, 0.0))
     c2 = magnitude(c.rho14) - np.sqrt(np.maximum(c.rho22, 0.0) * np.maximum(c.rho33, 0.0))
     conc = 2.0 * np.maximum(np.maximum(c1, c2), 0.0)
@@ -193,21 +189,18 @@ def _hermitian_states(rho) -> np.ndarray:
     return r
 
 
+def _x_form_states(rho):
+    """rho, after the X-pattern guard on every state (NotXForm names the first offender)."""
+    bad = _first_above(x_leakage(rho), X_FORM_TOL)
+    if bad:
+        raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
+    return rho
+
+
 def _check_positive(min_eig) -> None:
     bad = _first_above(-min_eig, EIG_CLAMP)
     if bad:
         raise NotPositive(-bad[1], bad[0])
-
-
-def _density_eig(rho):
-    """Guarded eigendecomposition (p, v) of one state or a stack, p ascending.
-
-    Eigenvalues in [-EIG_CLAMP, 0) are returned as computed; the sums that
-    use them count them as 0.
-    """
-    p, v = np.linalg.eigh(_hermitian_states(rho))
-    _check_positive(p[..., 0])
-    return p, v
 
 
 class _XBlock(NamedTuple):
@@ -258,7 +251,9 @@ def qfi(rho, h) -> float:
     defect = hermiticity_defect(hm)
     if defect > HERMITIAN_TOL:
         raise NotHermitian(f"generator hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    p, v = _density_eig(rho)
+    # eigenvalues in [-EIG_CLAMP, 0) pass the guard and count as 0
+    p, v = np.linalg.eigh(_hermitian_states(rho))
+    _check_positive(p[0])
     h_eig = v.conj().T @ hm @ v
     return _qfi_from_elements(p, h_eig)
 
@@ -287,35 +282,11 @@ def _pair_weights(p) -> np.ndarray:
                      out=np.zeros_like(psum), where=psum > PAIR_EPS)
 
 
-def _m_matrix(p, v, include_diagonal: bool) -> np.ndarray:
-    """The 3x3 direction matrix M_lk from the eigendecomposition (p, v).
-
-    M_lk = sum over pairs of 2 p_i p_j / (p_i + p_j)
-           <i|sigma_l x I|j><j|sigma_k x I|i>; the i = j terms carry weight
-    p_i and are included only for the corrected measure. A stack of
-    decompositions (p[T, 4], v[T, 4, 4]) gives M[T, 3, 3].
-    """
-    # <i|A_l|j>, contracted one operand at a time: a single three-operand
-    # einsum loops over all of them at once and is several times slower
-    a = np.einsum('...lmj,...mi->...lij', np.einsum('lmn,...nj->...lmj', _LOCAL_OBS, v), v.conj())
-    w = _pair_weights(p)
-    if not include_diagonal:
-        n = w.shape[-1]
-        w[..., range(n), range(n)] = 0.0
-    m = np.einsum('...ij,...lij,...kij->...lk', w, a, a.conj())
-    # M is real for Hermitian local observables
-    bad = _first_above(np.max(np.abs(m.imag), axis=(-2, -1)), HERMITIAN_TOL)
-    if bad:
-        raise NotHermitian(f"M matrix imaginary residue {bad[1]:.3e} exceeds "
-                           f"{HERMITIAN_TOL:.0e}: local observables are not Hermitian")
-    return m.real
-
-
 # sign of each outer-inner eigenvalue pair, - for a block's `low` and + for its `high`
 _PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock):
+def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = True):
     """1 - lambda_max(M) of X states from their two block spectra.
 
     sigma_z x I keeps each block, and sigma_x x I, sigma_y x I map the outer
@@ -323,9 +294,12 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock):
     M_zz sums over the pairs inside each block. M_xx, M_yy and M_xy sum over
     the outer-inner pairs; with W the sum of their weights and V the sum
     signed by `_PAIR_SIGNS`, the larger eigenvalue of that (x, y) block is
-    W - V cos_o cos_i + |V| sin_o sin_i.
+    W - V cos_o cos_i + |V| sin_o sin_i. The i = j terms touch only M_zz,
+    through the diagonal weights; `include_diagonal=False` drops them.
     """
     w = _pair_weights(np.stack([outer.low, outer.high, inner.low, inner.high], axis=-1))
+    if not include_diagonal:
+        w[..., range(4), range(4)] = 0.0
     m_zz = ((w[..., 0, 0] + w[..., 1, 1]) * outer.cos**2 + 2.0 * w[..., 0, 1] * outer.sin**2
             + (w[..., 2, 2] + w[..., 3, 3]) * inner.cos**2 + 2.0 * w[..., 2, 3] * inner.sin**2)
     cross = w[..., :2, 2:]
@@ -335,39 +309,39 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock):
     return 1.0 - np.maximum(m_zz, m_xy)
 
 
+def _guarded_blocks(rho) -> tuple[_XBlock, _XBlock]:
+    """The block spectra of `rho`, after the Hermiticity, X-pattern and positivity guards."""
+    return _x_blocks(_x_form_states(_hermitian_states(rho)))
+
+
 def lqfi(rho, blocks=None) -> float | np.ndarray:
-    """Local quantum Fisher information, Q = 1 - lambda_max(M).
+    """Local quantum Fisher information of X states, Q = 1 - lambda_max(M).
 
     Full double sum (diagonal included), which makes Q equal the minimum of
     qfi(rho, sigma_r x I) over unit directions r. Q = 0 for product states
     and the maximally mixed state, Q = 1 for Bell states.
 
-    Two routes give the same M, for speed: when every state is X-form
-    (`x_leakage` within X_FORM_TOL) Q comes in closed form from the two
-    2x2 block spectra, elementwise over the stack; any other input goes
-    through a stacked eigh and `_m_matrix`. `blocks` is the guarded block
-    decomposition of X-form `rho` when the caller already holds it
-    (`evaluate_measures` passes its own).
+    Q comes in closed form from the two 2x2 block spectra, elementwise over
+    the stack. Raises NotHermitian, then NotXForm for a state outside the
+    X pattern (`lqfi_bruteforce` takes any state), then NotPositive.
+    `blocks` is the guarded block decomposition of `rho` when the caller
+    already holds it (`evaluate_measures` passes its own).
     """
     if blocks is None:
-        r = _hermitian_states(rho)
-        if not np.all(x_leakage(r) <= X_FORM_TOL):
-            m = _m_matrix(*_density_eig(r), include_diagonal=True)
-            return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
-        blocks = _x_blocks(r)
+        blocks = _guarded_blocks(rho)
     return per_state(_lqfi_from_blocks(*blocks))
 
 
 def lqfi_paper_variant(rho) -> float | np.ndarray:
-    """LQFI with the i = j terms dropped from the double sum.
+    """LQFI of X states with the i = j terms dropped from the double sum.
 
     Kept for comparison: on rank-deficient states this overestimates Q
     (a pure product state scores 1 instead of 0). Basis-dependent on
-    degenerate spectra.
+    degenerate spectra: it takes the eigenbasis of each 2x2 block, and the
+    computational basis of a block proportional to the identity. Raises
+    NotHermitian, NotXForm and NotPositive as `lqfi` does.
     """
-    p, v = _density_eig(rho)
-    m = _m_matrix(p, v, include_diagonal=False)
-    return per_state(1.0 - np.linalg.eigvalsh(m)[..., -1])
+    return per_state(_lqfi_from_blocks(*_guarded_blocks(rho), include_diagonal=False))
 
 
 def lqfi_bruteforce(rho) -> float:
@@ -381,7 +355,7 @@ def lqfi_bruteforce(rho) -> float:
 
     It agrees with `lqfi` within 1e-10 on positive states, and within
     1e-10 + |min_eig| on a state with an eigenvalue in [-EIG_CLAMP, 0):
-    the M-based routes count that eigenvalue as 0, which drops that much
+    the block route counts that eigenvalue as 0, which drops that much
     trace, and 1 - lambda_max(M) assumes unit trace.
     """
     f = np.diag([qfi(rho, obs) for obs in _LOCAL_OBS])

@@ -64,9 +64,11 @@ def emit_plot(header, rows, columns, out_path) -> None:
 
     `header` names the columns of `rows`, a 2-D float table (a list of rows
     or an array, as `read_csv` or the CLI holds it). The first column is
-    the x axis; each requested column becomes one polyline. Raises
-    UnknownColumn for a missing name and EmptyData for a table without rows
-    (no file is written in either case).
+    the x axis; each requested column becomes one polyline. A point whose
+    x or y is NaN or infinite is left out, and both axis ranges span the
+    finite values only. Raises UnknownColumn for a missing name and
+    EmptyData for a table without rows or without a finite point (no file
+    is written in any of these cases).
     """
     if len(rows) == 0:
         raise EmptyData("no data rows")
@@ -78,13 +80,14 @@ def emit_plot(header, rows, columns, out_path) -> None:
             raise UnknownColumn(f"column {name!r} not in header {header}")
 
     table = np.asarray(rows, dtype=float)
+    table = table[np.isfinite(table[:, 0])]
     xs = table[:, 0]
     ys = table[:, [index[name] for name in columns]]
-
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_values = ys[ys == ys]  # drop NaN
+    y_values = ys[np.isfinite(ys)]
     if not y_values.size:
         raise EmptyData("requested columns hold no finite values")
+
+    x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(y_values.min()), float(y_values.max())
     if y_hi == y_lo:
         pad = abs(y_hi) * 0.1 or 1.0
@@ -137,8 +140,7 @@ def emit_plot(header, rows, columns, out_path) -> None:
     for k, name in enumerate(columns):
         color = _PALETTE[k % len(_PALETTE)]
         finite = np.isfinite(ys[:, k])
-        with np.errstate(invalid="ignore"):  # an infinite y range gives nan, as floats do
-            xy = np.column_stack([px(xs[finite]), py(ys[finite, k])])
+        xy = np.column_stack([px(xs[finite]), py(ys[finite, k])])
         points = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')

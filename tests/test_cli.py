@@ -60,13 +60,19 @@ def conf(tmp_path):
 
 # --- config parsing -----------------------------------------------------------
 
-def test_parse_config_types_and_comments(conf):
+def test_parse_config_types_and_comments(conf, tmp_path):
     entries = parse_config_file(conf)
     assert entries["J"] == 2.0
     assert entries["eta"] == 0.2          # inline comment stripped
     assert entries["record_every"] == 50
     assert isinstance(entries["record_every"], int)
     assert "mu" not in entries
+    # booleans in any case, spelled four ways each
+    path = tmp_path / "flags.conf"
+    for spelling, value in [("yes", True), ("on", True), ("1", True), ("TRUE", True),
+                            ("No", False), ("off", False), ("0", False), ("false", False)]:
+        path.write_text(f"compare_j0_zero = {spelling}\n")
+        assert parse_config_file(path) == {"compare_j0_zero": value}
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -448,11 +454,20 @@ def test_plot_unknown_column(conf, tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_plot_empty_csv(tmp_path):
+def test_plot_empty_csv(tmp_path, capsys):
     csv = tmp_path / "empty.csv"
     csv.write_text("t,concurrence\n")
     assert main(["plot", "--csv", str(csv), "--columns", "concurrence",
                  "--out", str(tmp_path / "x.svg")]) == 2
+    # no header either, and no column named at all
+    csv.write_text("")
+    assert main(["plot", "--csv", str(csv), "--columns", "concurrence",
+                 "--out", str(tmp_path / "x.svg")]) == 2
+    assert "no header" in capsys.readouterr().err
+    csv.write_text("t,concurrence\n0,1\n")
+    assert main(["plot", "--csv", str(csv), "--columns", ",", "--out", str(tmp_path / "x.svg")]) == 2
+    assert "no columns requested" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 # --- exit codes and validate ----------------------------------------------------

@@ -111,6 +111,15 @@ def test_validate_density_rejections(rng):
     validate_density(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         validate_density(np.diag([0.5 + 2e-9, 0.5, 0.0, -2e-9]).astype(complex))
+    # evolve holds its initial states to the same checks
+    with pytest.raises(ValueError, match="must be 4x4"):
+        evolve(np.eye(2) / 2.0, ModelParams())
+    nan_entry = rho.copy()
+    nan_entry[0, 3] = nan_entry[3, 0] = math.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        evolve(nan_entry, ModelParams())
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        evolve(np.stack([rho, nan_entry]), [ModelParams(), ModelParams(b=1.0)])
 
 
 # --- generator --------------------------------------------------------------

@@ -22,7 +22,7 @@ from spinchain import (
     two_qubit_rotation,
 )
 from spinchain.dynamics import X_FORM_TOL, max_abs, x_leakage
-from spinchain.measures import EIG_CLAMP, _LOCAL_OBS, NotPositive, _density_eig, _m_matrix
+from spinchain.measures import EIG_CLAMP, NotPositive
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -189,77 +189,30 @@ def test_lqfi_is_minimum_over_probe_axes(rng):
 
 def test_lqfi_matches_direction_grid(rng):
     # the polarization route is exact, so the two routes agree to rounding
-    # on X states, generic full-rank states and pure states alike
-    for draw in (random_x_state, random_density, random_pure_state):
-        worst = 0.0
-        for _ in range(30):
+    # on X states; generic full-rank and pure states are for the
+    # polarization route alone
+    worst = 0.0
+    for _ in range(30):
+        rho = random_x_state(rng)
+        worst = max(worst, abs(lqfi(rho) - lqfi_bruteforce(rho)))
+    assert worst < 1e-10
+    for draw in (random_density, random_pure_state):
+        for _ in range(5):
             rho = draw(rng)
-            worst = max(worst, abs(lqfi(rho) - lqfi_bruteforce(rho)))
-        assert worst < 1e-10, draw.__name__
+            with pytest.raises(NotXForm, match=f"off-pattern magnitude {x_leakage(rho):.3e}"):
+                lqfi(rho)
 
 
 def test_lqfi_local_unitary_invariance(rng):
+    # the rotated states leave the X pattern, so they go through the
+    # polarization route; Bell and |01> keep pure states covered
     eye = np.eye(2, dtype=complex)
-    for _ in range(20):
-        rho = random_x_state(rng)
+    for rho in [random_x_state(rng) for _ in range(20)] + [bell_state(), product_state()]:
         # probe-side rotation alone, then a full product rotation
         ua = np.kron(random_unitary(rng), eye)
-        assert lqfi(ua @ rho @ ua.conj().T) == pytest.approx(lqfi(rho), abs=1e-8)
+        assert lqfi_bruteforce(ua @ rho @ ua.conj().T) == pytest.approx(lqfi(rho), abs=1e-8)
         u = np.kron(random_unitary(rng), random_unitary(rng))
-        assert lqfi(u @ rho @ u.conj().T) == pytest.approx(lqfi(rho), abs=1e-9)
-
-
-def _remix_spread(rho, p, v, cluster, rng, draws=10):
-    # rebuild the measure from every admissible eigenbasis of the cluster
-    reference = lqfi(rho)
-    full_dev = 0.0
-    variant_vals = []
-    for _ in range(draws):
-        mix = np.eye(4, dtype=complex)
-        mix[np.ix_(cluster, cluster)] = random_unitary(rng, dim=len(cluster))
-        v_mixed = v @ mix
-        full = 1.0 - np.linalg.eigvalsh(_m_matrix(p, v_mixed, include_diagonal=True))[-1]
-        full_dev = max(full_dev, abs(full - reference))
-        variant_vals.append(
-            1.0 - np.linalg.eigvalsh(_m_matrix(p, v_mixed, include_diagonal=False))[-1])
-    return full_dev, max(variant_vals) - min(variant_vals)
-
-
-def test_lqfi_stable_under_degenerate_eigenbasis_remixing(rng):
-    # a degenerate spectrum leaves the eigenbasis ambiguous; the reported
-    # value must not depend on which basis the solver happens to return
-    rho = werner_state(0.5)  # eigenvalues 0.625 and a threefold 0.125
-    p, v = np.linalg.eigh(rho)
-    cluster = np.where(np.isclose(p, p[0]))[0]
-    assert len(cluster) == 3
-    full_dev, _ = _remix_spread(rho, p, v, cluster, rng)
-    assert full_dev < 1e-8
-
-    # same check on a twofold cluster with no special symmetry; here the
-    # dropped-diagonal variant genuinely depends on the basis choice, so its
-    # spread is reported rather than bounded
-    p = np.array([0.1, 0.2, 0.35, 0.35])
-    v = random_unitary(rng, dim=4)
-    rho = (v * p) @ v.conj().T
-    full_dev, variant_spread = _remix_spread(rho, p, v, np.array([2, 3]), rng)
-    assert full_dev < 1e-8
-    print(f"dropped-diagonal spread under remixing: {variant_spread:.3e}")
-
-
-def test_lqfi_variant_differs_by_diagonal_term(rng):
-    # the two summation conventions differ exactly by the equal-index
-    # contribution D_lk = sum_i p_i <i|A_l|i><i|A_k|i>
-    obs = _LOCAL_OBS
-    for _ in range(10):
-        rho = random_density(rng)
-        p, v = np.linalg.eigh(rho)
-        m_full = _m_matrix(p, v, include_diagonal=True)
-        m_off = _m_matrix(p, v, include_diagonal=False)
-        diag = np.array([[np.conj(v[:, i]) @ obs[l] @ v[:, i] for i in range(4)]
-                         for l in range(3)])
-        d = np.einsum("i,li,ki->lk", p, diag, diag.conj()).real
-        assert np.abs(m_full - m_off - d).max() < 1e-12
-        assert np.abs(d).max() > 1e-3  # the term is not generically negligible
+        assert lqfi_bruteforce(u @ rho @ u.conj().T) == pytest.approx(lqfi(rho), abs=1e-9)
 
 
 def test_lqfi_rejects_bad_inputs():
@@ -267,16 +220,6 @@ def test_lqfi_rejects_bad_inputs():
         lqfi(np.array([[0.5, 0.2], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         lqfi(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
-
-
-def test_lqfi_rejects_non_hermitian_local_observables(monkeypatch, rng):
-    # M is real only for Hermitian generators; the check must survive python -O
-    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    bad = _LOCAL_OBS.copy()
-    bad[0] = np.kron(sigma_plus, IDENTITY_2)
-    monkeypatch.setattr("spinchain.measures._LOCAL_OBS", bad)
-    with pytest.raises(NotHermitian, match="M matrix"):
-        lqfi(random_density(rng))
 
 
 def test_evaluate_measures_bundles_routes(rng):
@@ -295,12 +238,19 @@ def test_evaluate_measures_bundles_routes(rng):
 
 STACKED_MEASURES = [l1_coherence, partial(l1_coherence, rotation=BasisRotation(0.4, 1.3)),
                     lqfi, lqfi_paper_variant]
+X_ONLY_MEASURES = (lqfi, lqfi_paper_variant)
 
 
 @pytest.mark.parametrize("draw", [random_x_state, random_density])
 def test_stacked_measures_match_single_state_calls(draw, rng):
     stack = np.array([draw(rng) for _ in range(50)])
     for measure in STACKED_MEASURES:
+        if draw is random_density and measure in X_ONLY_MEASURES:
+            # a generic stack fails at its first state, alone or stacked
+            for states in (stack, stack[0]):
+                with pytest.raises(NotXForm, match=f"magnitude {x_leakage(stack[0]):.3e} "):
+                    measure(states)
+            continue
         values = measure(stack)
         assert values.shape == (50,)
         assert np.abs(values - [measure(rho) for rho in stack]).max() <= 1e-15
@@ -340,12 +290,17 @@ def test_stack_guards_fire_on_one_bad_element(rng):
     stack = np.array([random_x_state(rng) for _ in range(20)])
     off_pattern = stack.copy()
     off_pattern[7, 0, 1] = off_pattern[7, 1, 0] = 1e-6
-    with pytest.raises(NotXForm, match="1.000e-06"):
-        concurrence_x(off_pattern)
+    off_pattern[9, 0, 2] = off_pattern[9, 2, 0] = 1e-5  # larger, but later
+    for measure in (concurrence_x, lqfi, lqfi_paper_variant):
+        with pytest.raises(NotXForm, match=r"^off-pattern magnitude 1\.000e-06 exceeds"):
+            measure(off_pattern)
     skewed = stack.copy()
     skewed[11, 0, 3] += 1e-6
-    with pytest.raises(NotHermitian, match="state hermiticity defect 1.000e-06"):
-        lqfi(skewed)
+    # the Hermiticity guard runs first, also on a stack that leaves the X pattern
+    for states in (skewed, np.concatenate([off_pattern[:11], skewed[11:]])):
+        for measure in (lqfi, lqfi_paper_variant):
+            with pytest.raises(NotHermitian, match="state hermiticity defect 1.000e-06"):
+                measure(states)
 
 
 def test_not_positive_names_the_earliest_offender(rng):
@@ -359,39 +314,7 @@ def test_not_positive_names_the_earliest_offender(rng):
         assert err.value.min_eig == pytest.approx(-3e-9, rel=1e-6)
 
 
-def test_m_residue_guard_fires_on_one_bad_element(monkeypatch, rng):
-    # with sigma+ x I in place of sigma_x x I, M of a computational basis state
-    # stays real, while M of a generic state does not
-    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    bad = _LOCAL_OBS.copy()
-    bad[0] = np.kron(sigma_plus, IDENTITY_2)
-    monkeypatch.setattr("spinchain.measures._LOCAL_OBS", bad)
-    stack = np.array([np.diag(np.eye(4)[k % 4]).astype(complex) for k in range(12)])
-    lqfi(stack)
-    stack[9] = random_density(rng)
-    with pytest.raises(NotHermitian, match="M matrix"):
-        lqfi(stack)
-
-
-def test_m_matrix_is_block_diagonal_on_x_states(rng):
-    # sigma_z x I keeps the two X blocks and sigma_x x I, sigma_y x I swap them,
-    # so the xz and yz couplings vanish up to the rounding of the eigenvectors
-    p, v = _density_eig(np.array([random_x_state(rng) for _ in range(50)]))
-    m = _m_matrix(p, v, include_diagonal=True)
-    assert m.shape == (50, 3, 3)
-    assert np.abs(m[:, [0, 1], 2]).max() < 1e-14
-    assert np.abs(m[:, 2, [0, 1]]).max() < 1e-14
-    p, v = _density_eig(np.array([random_density(rng) for _ in range(50)]))
-    assert np.abs(_m_matrix(p, v, include_diagonal=True)[:, [0, 1], 2]).max() > 1e-3
-
-
 # --- the X-block route of lqfi ------------------------------------------------
-
-def _m_route(stack):
-    """1 - lambda_max(M) through one stacked eigh and _m_matrix."""
-    p, v = _density_eig(stack)
-    return 1.0 - np.linalg.eigvalsh(_m_matrix(p, v, include_diagonal=True))[..., -1]
-
 
 def _x_state(outer, inner):
     """The X state with 2x2 blocks `outer` on {|00>, |11>} and `inner` on {|01>, |10>}."""
@@ -445,19 +368,17 @@ def test_x_block_route_matches_m_route_and_bruteforce(rng, monkeypatch):
     lows = np.linalg.eigvalsh(stack)[:, 0]
     assert np.sum(lows < 0.0) >= 20
     assert lows.min() >= -EIG_CLAMP
-    expected = _m_route(stack)
-    brute = [lqfi_bruteforce(rho) for rho in stack]
+    brute = np.array([lqfi_bruteforce(rho) for rho in stack])
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", _refuse_eigh)
         values = lqfi(stack)
         ms = evaluate_measures(stack)
         singles = [lqfi(rho) for rho in stack]
-    assert np.abs(values - expected).max() <= 1e-13
-    # both M-based routes count an eigenvalue in [-EIG_CLAMP, 0) as 0 and so
-    # lose that much trace, which moves them from the polarization route by
-    # up to its size (the same for the M route)
+    assert np.abs(values - brute)[lows >= 0.0].max() <= 1e-13
+    # the block route counts an eigenvalue in [-EIG_CLAMP, 0) as 0 and so
+    # loses that much trace, which moves it from the polarization route by
+    # up to its size
     assert np.all(np.abs(values - brute) <= 1e-10 + np.maximum(-lows, 0.0))
-    assert np.abs(values - brute)[lows >= 0.0].max() <= 1e-10
     assert np.abs(values - singles).max() <= 1e-15
     assert np.array_equal(ms.lqfi, values)
     assert np.abs(ms.min_eig - lows).max() <= 1e-15
@@ -467,19 +388,36 @@ def test_x_block_route_anchors_are_exact(no_eigh):
     assert lqfi(np.eye(4, dtype=complex) / 4.0) == 0.0
     assert lqfi(product_state()) == 0.0
     assert lqfi(bell_state()) == 1.0
+    assert lqfi_paper_variant(np.eye(4, dtype=complex) / 4.0) == 0.0
+    assert lqfi_paper_variant(product_state()) == 1.0
+    assert lqfi_paper_variant(bell_state()) == 1.0
+
+
+# lqfi_paper_variant of the first six `random_x_state` draws of the `rng`
+# fixture, as an eigh of the whole state and the 3x3 direction matrix gave it
+_VARIANT_PINS = [0.12997641106582825, 0.8346956109891698, 0.39528723148455047,
+                 0.2016211343182408, 0.17047202686370866, 0.1058682102953753]
+
+
+def test_lqfi_paper_variant_pinned_on_x_states(rng, no_eigh):
+    stack = np.array([random_x_state(rng) for _ in range(6)])
+    values = lqfi_paper_variant(stack)
+    assert np.abs(values - _VARIANT_PINS).max() <= 1e-13
+    # the dropped diagonal matters on these states: the variant is not lqfi
+    assert np.abs(values - lqfi(stack)).max() > 0.1
 
 
 def test_x_block_route_guards(rng, no_eigh):
     stack = np.array([random_x_state(rng) for _ in range(20)])
     skewed = stack.copy()
     skewed[3, 1, 2] += 2e-6
-    for measure in (lqfi, evaluate_measures):
+    for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
         with pytest.raises(NotHermitian, match=r"^state hermiticity defect 2\.000e-06 exceeds 1e-10$"):
             measure(skewed)
     negative = stack.copy()
     negative[6] = _x_state(_block(rng, -3e-9, 0.5), _block(rng, 0.0, 0.5 + 3e-9))
     negative[14] = _x_state(_block(rng, 0.5, 0.5), _block(rng, -1e-8, 1e-8))  # more negative, later
-    for measure in (lqfi, evaluate_measures):
+    for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
         with pytest.raises(NotPositive, match=r"^density eigenvalue -3\.000e-09 below -1e-09$") as err:
             measure(negative)
         assert err.value.index == 6
@@ -496,9 +434,11 @@ def test_lqfi_keeps_pairs_just_above_pair_eps(rng):
     rho[0, 0] = rho[3, 3] = 1e-6
     assert lqfi(rho) == pytest.approx(0.3188204851194174, abs=1e-13)
     assert abs(lqfi(rho) - lqfi_bruteforce(rho)) <= 1e-10
-    # a local unitary keeps the value but leaves the X pattern: the M route
+    # a local unitary keeps the value but leaves the X pattern: the
+    # polarization route alone
     u = np.kron(random_unitary(rng), random_unitary(rng))
     rotated = u @ rho @ u.conj().T
     assert x_leakage(rotated) > X_FORM_TOL
-    assert abs(lqfi(rotated) - lqfi_bruteforce(rotated)) <= 1e-10
-    assert lqfi(rotated) == pytest.approx(0.3188204851194174, abs=1e-10)
+    with pytest.raises(NotXForm):
+        lqfi(rotated)
+    assert lqfi_bruteforce(rotated) == pytest.approx(0.3188204851194174, abs=1e-10)

@@ -121,3 +121,5 @@ def test_initial_state_general(rng):
         assert np.trace(rho).real == pytest.approx(1.0)
         # pure state
         assert max_abs(rho @ rho - rho) < 1e-14
+    with pytest.raises(ValueError, match="finite"):
+        initial_state(math.nan)

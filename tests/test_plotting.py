@@ -65,6 +65,10 @@ def test_emit_plot_empty_data(tmp_path):
     path.write_text("t,x\n")
     with pytest.raises(EmptyData):
         emit_plot(*read_csv(path), ["x"], tmp_path / "chart.svg")
+    # rows, but no finite value in the requested column
+    with pytest.raises(EmptyData, match="no finite values"):
+        emit_plot(["t", "x"], [[0.0, math.nan], [1.0, math.nan]], ["x"], tmp_path / "chart.svg")
+    assert not (tmp_path / "chart.svg").exists()
 
 
 def test_emit_plot_constant_series(tmp_path):
@@ -78,14 +82,15 @@ def test_emit_plot_constant_series(tmp_path):
 def _per_point_reference(header, rows, columns):
     """The polylines and axis labels of a table, one Python step per point.
 
-    This is how `emit_plot` computed them before it took whole columns as
-    arrays; the array form must give the same bytes.
+    A point needs a finite x and y, and the axis ranges span the finite
+    points only. The array form of `emit_plot` must give the same bytes.
     """
     index = {name: i for i, name in enumerate(header)}
+    rows = [row for row in rows if math.isfinite(row[0])]
     xs = [row[0] for row in rows]
     series = {name: [row[index[name]] for row in rows] for name in columns}
     x_lo, x_hi = min(xs), max(xs)
-    y_values = [v for vals in series.values() for v in vals if v == v]
+    y_values = [v for vals in series.values() for v in vals if math.isfinite(v)]
     y_lo, y_hi = min(y_values), max(y_values)
     pad = abs(y_hi) * 0.1 or 1.0 if y_hi == y_lo else 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -99,7 +104,7 @@ def _per_point_reference(header, rows, columns):
         return 24 + (y_hi - y) / (y_hi - y_lo) * 444
 
     polylines = [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
-                          if y == y and abs(y) != math.inf)
+                          if math.isfinite(y))
                  for name in columns]
     x_labels = [format(v, ".4g") for v in _ticks(x_lo, x_hi)] + [header[0]]
     return polylines, x_labels, [format(v, ".4g") for v in _ticks(y_lo, y_hi)]
@@ -110,6 +115,9 @@ _EDGE_TABLES = {
     "nan": [[x, math.sin(x), math.nan if k % 3 == 1 else x / 100] for k, x in enumerate(_EDGE)],
     "inf": [[x, math.inf if k == 2 else 0.5, -math.inf if k == 4 else x] for k, x in enumerate(_EDGE)],
     "one-sided inf": [[x, math.inf if k == 1 else x, 1.0 - x] for k, x in enumerate(_EDGE)],
+    "x nan": [[math.nan if k in (0, 3) else x, x / 10, -x] for k, x in enumerate(_EDGE)],
+    "x inf": [[math.inf if k == 6 else x, x / 10, 0.5] for k, x in enumerate(_EDGE)],
+    "all-nan column": [[x, math.nan, x] for x in _EDGE],
     "constant": [[x, 0.25, 0.0] for x in _EDGE],
     "zero": [[x, 0.0, 0.0] for x in _EDGE],
     "single row": [[1.5, 0.125, -0.375]],
