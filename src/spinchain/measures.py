@@ -23,8 +23,13 @@ and inner {|01>, |10>}: `lqfi` and `lqfi_paper_variant` take this route
 and raise NotXForm for any other state, as `concurrence_x` does.
 `lqfi_bruteforce` is the generic route for any state and checks the
 closed form without forming M: qfi(rho, r.sigma x I) is a quadratic form
-in r, so its 3x3 matrix follows exactly from six generic `qfi` calls by
-polarization, and the minimum over unit r is its smallest eigenvalue.
+in r, so its 3x3 matrix follows exactly from the generic QFI of six
+generators by polarization, and the minimum over unit r is its smallest
+eigenvalue. Every LQFI here probes the first tensor factor, the site that
+sees -b: the field terms of `model.hamiltonian_block` are
+(Delta - b)/2 sigma_z x I + (Delta + b)/2 I x sigma_z, Delta = J0 mu + B.
+The second site's LQFI is that of SWAP rho SWAP, a different number when
+b != 0.
 
 The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
@@ -33,8 +38,10 @@ stack, so a whole trajectory is measured in one call. Their guards check
 every element and raise for the first one that fails. No eigh runs in
 them: `evaluate_measures` solves each state's two blocks once, and the
 block spectra give `lqfi` and the `min_eig` it reports. The generic routes
-(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) stay single-state
-cross-checks.
+(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take the same two
+shapes and run one eigh per state: `lqfi_bruteforce` reuses it for all six
+polarization generators. Every route raises a ValueError naming the shape
+of an input that is neither 4x4 nor a stack of 4x4 states.
 """
 
 from __future__ import annotations
@@ -62,6 +69,13 @@ PAIR_EPS = 1e-12
 
 # sigma_l x I for l = x, y, z
 _LOCAL_OBS = np.stack([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+# the direction pairs (l, k) whose sums sigma_l + sigma_k polarization needs
+_POLARIZATION_PAIRS = ((0, 1), (0, 2), (1, 2))
+# the six generators of `lqfi_bruteforce`: x, y, z, then x+y, x+z, y+z
+_PROBE_GENERATORS = np.concatenate(
+    [_LOCAL_OBS, [_LOCAL_OBS[l] + _LOCAL_OBS[k] for l, k in _POLARIZATION_PAIRS]])
+# sigma_y x sigma_y, the spin flip of the generic concurrence
+_SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 class NotHermitian(ValueError):
@@ -106,8 +120,12 @@ class XConcurrence(NamedTuple):
     c2_branch: float
 
 
-def concurrence_generic(rho) -> float:
-    """Concurrence of an arbitrary two-qubit density matrix.
+def _adjoint(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def concurrence_generic(rho) -> float | np.ndarray:
+    """Concurrence of arbitrary two-qubit density matrices, one or a stack.
 
     Spin-flip construction: with l1..l4 the decreasing square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy), C = max(l1-l2-l3-l4, 0).
@@ -115,13 +133,12 @@ def concurrence_generic(rho) -> float:
     conj(sqrt(rho)), which is algebraically the same but does not amplify
     eps-sized spurious eigenvalues to sqrt(eps) on rank-deficient states.
     """
-    r = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh((r + r.conj().T) / 2.0)
+    r = _states(rho)
+    w, v = np.linalg.eigh((r + _adjoint(r)) / 2.0)
     w[w < 0.0] = 0.0  # clamp roundoff negatives before the root
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    lam = np.linalg.svd(sq @ yy @ sq.conj(), compute_uv=False)
-    return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+    sq = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+    lam = np.linalg.svd(sq @ _SIGMA_YY @ sq.conj(), compute_uv=False)
+    return per_state(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0))
 
 
 def concurrence_x(rho) -> XConcurrence:
@@ -170,7 +187,7 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
 
     For an X state in the unrotated basis this is 2|rho23| + 2|rho14|.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _states(rho)
     if rotation is not None:
         u = two_qubit_rotation(rotation)
         r = u @ r @ u.conj().T
@@ -180,9 +197,27 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
     return per_state(a.sum(axis=(-2, -1)))
 
 
-def _hermitian_states(rho) -> np.ndarray:
-    """rho as a complex array, after the Hermiticity guard on every state."""
+def _shape_error(r) -> ValueError:
+    return ValueError(f"expected a 4x4 state or an (N, 4, 4) stack, got shape {r.shape}")
+
+
+def _states(rho) -> np.ndarray:
+    """rho as a complex (4, 4) or (N, 4, 4) array; any other shape raises ValueError."""
     r = np.asarray(rho, dtype=complex)
+    if r.ndim not in (2, 3) or r.shape[-2:] != (4, 4):
+        raise _shape_error(r)
+    return r
+
+
+def _hermitian_states(rho) -> np.ndarray:
+    """rho as a complex array, after the Hermiticity guard on every state.
+
+    The guard reads any square matrices, so a non-Hermitian input is named
+    as such before `_states` checks its size.
+    """
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim not in (2, 3) or r.shape[-1] != r.shape[-2]:
+        raise _shape_error(r)
     bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
     if bad:
         raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
@@ -190,7 +225,11 @@ def _hermitian_states(rho) -> np.ndarray:
 
 
 def _x_form_states(rho):
-    """rho, after the X-pattern guard on every state (NotXForm names the first offender)."""
+    """rho as 4x4 states, after the X-pattern guard on every state.
+
+    ValueError names a wrong shape; NotXForm names the first offender.
+    """
+    rho = _states(rho)
     bad = _first_above(x_leakage(rho), X_FORM_TOL)
     if bad:
         raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
@@ -239,35 +278,48 @@ def _x_blocks(r) -> tuple[_XBlock, _XBlock]:
     return outer, inner
 
 
-def qfi(rho, h) -> float:
-    """Quantum Fisher information of `rho` for generator `h`.
+def qfi(rho, h) -> float | np.ndarray:
+    """Quantum Fisher information of `rho`, one state or a stack, for generator `h`.
 
     F = (1/2) sum over i != j of (p_i - p_j)^2 / (p_i + p_j) |<i|h|j>|^2,
     pairs with p_i + p_j <= PAIR_EPS dropped. Normalized so that a pure
     state gives the variance of h; for h = sigma_r x I the value is at
-    most 1.
+    most 1. Raises NotHermitian for `h`, then the guards of `_guarded_eigh`.
     """
-    hm = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(hm)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"generator hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    # eigenvalues in [-EIG_CLAMP, 0) pass the guard and count as 0
-    p, v = np.linalg.eigh(_hermitian_states(rho))
-    _check_positive(p[0])
-    h_eig = v.conj().T @ hm @ v
-    return _qfi_from_elements(p, h_eig)
+    hs = _hermitian_generators(np.asarray(h, dtype=complex)[None])
+    return per_state(_qfi_from_eigh(*_guarded_eigh(rho), hs)[..., 0])
 
 
-def _qfi_from_elements(p, h_eig) -> float:
+def _hermitian_generators(hs) -> np.ndarray:
+    """The stack of generators `hs`, after the Hermiticity guard on each."""
+    bad = _first_above(hermiticity_defect(hs), HERMITIAN_TOL)
+    if bad:
+        raise NotHermitian(f"generator hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return hs
+
+
+def _guarded_eigh(rho):
+    """Eigenpairs (p, v) of each state, after the shape, Hermiticity and positivity guards.
+
+    Eigenvalues in [-EIG_CLAMP, 0) pass the guard; the QFI counts them as 0.
+    """
+    p, v = np.linalg.eigh(_states(_hermitian_states(rho)))
+    _check_positive(p[..., 0])
+    return p, v
+
+
+def _qfi_from_eigh(p, v, hs) -> np.ndarray:
+    """QFI of states with eigenpairs (p, v) for each generator of the stack `hs`, as [..., G]."""
     p = np.where(p < 0.0, 0.0, p)
     # (p_i - p_j)^2 / (p_i + p_j) weights on the off-diagonal pairs
-    psum = p[:, None] + p[None, :]
-    pdif = p[:, None] - p[None, :]
+    psum = p[..., :, None] + p[..., None, :]
+    pdif = p[..., :, None] - p[..., None, :]
     mask = psum > PAIR_EPS
-    np.fill_diagonal(mask, False)
-    w = np.zeros_like(psum)
-    w[mask] = pdif[mask] ** 2 / psum[mask]
-    return float(0.5 * np.sum(w * np.abs(h_eig) ** 2))
+    mask[..., range(4), range(4)] = False
+    w = np.divide(pdif**2, psum, out=np.zeros_like(psum), where=mask)
+    v = v[..., None, :, :]
+    h_eig = _adjoint(v) @ hs @ v
+    return 0.5 * np.sum(w[..., None, :, :] * np.abs(h_eig) ** 2, axis=(-2, -1))
 
 
 def _pair_weights(p) -> np.ndarray:
@@ -321,6 +373,10 @@ def lqfi(rho, blocks=None) -> float | np.ndarray:
     qfi(rho, sigma_r x I) over unit directions r. Q = 0 for product states
     and the maximally mixed state, Q = 1 for Bell states.
 
+    The generator sigma_r x I acts on the first tensor factor, the site
+    whose local field is Delta - b (the other sees Delta + b). The second
+    site's LQFI is lqfi(SWAP rho SWAP); with b != 0 the two differ.
+
     Q comes in closed form from the two 2x2 block spectra, elementwise over
     the stack. Raises NotHermitian, then NotXForm for a state outside the
     X pattern (`lqfi_bruteforce` takes any state), then NotPositive.
@@ -344,24 +400,28 @@ def lqfi_paper_variant(rho) -> float | np.ndarray:
     return per_state(_lqfi_from_blocks(*_guarded_blocks(rho), include_diagonal=False))
 
 
-def lqfi_bruteforce(rho) -> float:
+def lqfi_bruteforce(rho) -> float | np.ndarray:
     """Minimum of qfi(rho, sigma_r x I) over unit directions r, by polarization.
 
-    Independent cross-check for `lqfi`: qfi(rho, r.sigma x I) = r^T F r, and
-    the 3x3 matrix F follows exactly from the generic `qfi` on the
-    generators for x, y, z, x+y, x+z and y+z, since
-    F_lk = (qfi(l + k) - qfi(l) - qfi(k)) / 2. The result is lambda_min(F).
-    M is never formed.
+    Independent cross-check for `lqfi`, on one state or a stack:
+    qfi(rho, r.sigma x I) = r^T F r, and the 3x3 matrix F follows exactly
+    from the generic QFI on the generators for x, y, z, x+y, x+z and y+z,
+    since F_lk = (qfi(l + k) - qfi(l) - qfi(k)) / 2. The result is
+    lambda_min(F). Each state is decomposed once, by the guarded eigh of
+    `qfi`, for all six generators. M is never formed.
 
     It agrees with `lqfi` within 1e-10 on positive states, and within
     1e-10 + |min_eig| on a state with an eigenvalue in [-EIG_CLAMP, 0):
     the block route counts that eigenvalue as 0, which drops that much
     trace, and 1 - lambda_max(M) assumes unit trace.
     """
-    f = np.diag([qfi(rho, obs) for obs in _LOCAL_OBS])
-    for l, k in ((0, 1), (0, 2), (1, 2)):
-        f[l, k] = f[k, l] = 0.5 * (qfi(rho, _LOCAL_OBS[l] + _LOCAL_OBS[k]) - f[l, l] - f[k, k])
-    return float(np.linalg.eigvalsh(f)[0])
+    hs = _hermitian_generators(_PROBE_GENERATORS)
+    g = _qfi_from_eigh(*_guarded_eigh(rho), hs)
+    f = np.zeros(g.shape[:-1] + (3, 3))
+    f[..., range(3), range(3)] = g[..., :3]
+    for n, (l, k) in enumerate(_POLARIZATION_PAIRS, start=3):
+        f[..., l, k] = f[..., k, l] = 0.5 * (g[..., n] - g[..., l] - g[..., k])
+    return per_state(np.linalg.eigvalsh(f)[..., 0])
 
 
 @dataclass(frozen=True)

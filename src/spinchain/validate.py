@@ -4,14 +4,16 @@ Each check is a function of its inputs (parameter points, integrated
 (times, states) runs, X states) that returns a `Check` record: its name,
 its status, the line of detail `validate` prints, and its measured values
 by name. The checks draw nothing themselves. `run_validate` draws their
-inputs from a fixed seed and prints one line per record; the acceptance
-tests call the same functions on inputs of their own and hold the
-measured values to their own tolerances.
+inputs from a seeded stdlib `random.Random`, so `numpy.random` is never
+imported, and prints one line per record; the acceptance tests call the
+same functions on inputs of their own and hold the measured values to
+their own tolerances.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -80,18 +82,18 @@ def conservation(runs) -> Check:
 
 
 def concurrence_routes(states) -> Check:
-    """X-state concurrence against the generic spin-flip route."""
-    fast = concurrence_x(np.asarray(states)).concurrence
-    worst = max(abs(c - concurrence_generic(rho)) for c, rho in zip(fast, states))
+    """X-state concurrence against the generic spin-flip route, one call each on the stack."""
+    stack = np.asarray(states)
+    worst = float(np.max(np.abs(concurrence_x(stack).concurrence - concurrence_generic(stack))))
     return Check("concurrence x-vs-generic", _verdict(worst <= 1e-9),
                  f"n = {len(states)}  max|diff| = {worst:.3e}  tol = 1e-09",
                  {"n": len(states), "max_diff": worst})
 
 
 def lqfi_routes(states) -> Check:
-    """LQFI by its fast route against the polarization route."""
-    fast = lqfi(np.asarray(states))
-    worst = max(abs(q - lqfi_bruteforce(rho)) for q, rho in zip(fast, states))
+    """LQFI by its fast route against the polarization route, one call each on the stack."""
+    stack = np.asarray(states)
+    worst = float(np.max(np.abs(lqfi(stack) - lqfi_bruteforce(stack))))
     return Check("lqfi-vs-bruteforce", _verdict(worst <= 1e-10),
                  f"n = {len(states)}  max|diff| = {worst:.3e}  tol = 1e-10",
                  {"n": len(states), "max_diff": worst})
@@ -141,29 +143,34 @@ def steady_state(points: Sequence[ModelParams]) -> Check:
                  {"n": len(points), "max_rhs": worst_rhs, "trace_identity_dev": worst_tr})
 
 
-def _random_valid_params(rng, gamma_override=None) -> ModelParams:
+def _random_valid_params(rng: random.Random, gamma_override=None) -> ModelParams:
     while True:
-        gamma = float(rng.uniform(0.05, 3.0)) if gamma_override is None else gamma_override
+        gamma = rng.uniform(0.05, 3.0) if gamma_override is None else gamma_override
         p = ModelParams(
-            J=float(rng.uniform(-3, 3)), Jz=float(rng.uniform(-3, 3)),
-            eta=float(rng.uniform(-3, 3)), J0=float(rng.uniform(-3, 3)),
-            B=float(rng.uniform(-3, 3)), b=float(rng.uniform(-3, 3)),
-            gamma=gamma, mu=int(rng.integers(-1, 2)),
-            theta=float(rng.uniform(0, math.pi)),
+            J=rng.uniform(-3, 3), Jz=rng.uniform(-3, 3),
+            eta=rng.uniform(-3, 3), J0=rng.uniform(-3, 3),
+            B=rng.uniform(-3, 3), b=rng.uniform(-3, 3),
+            gamma=gamma, mu=rng.randrange(-1, 2),
+            theta=rng.uniform(0, math.pi),
         )
         d = derived_scales(p)
         if d.Omega > 1e-6 and d.omega > 1e-6:
             return p
 
 
-def random_x_state(rng) -> np.ndarray:
+def random_x_state(rng: random.Random) -> np.ndarray:
     """Random valid X-form density matrix (Dirichlet populations,
-    positivity-bounded coherences with random phases)."""
-    pops = rng.dirichlet(np.ones(4))
-    m14 = float(rng.uniform(0, 1)) * math.sqrt(pops[0] * pops[3])
-    m23 = float(rng.uniform(0, 1)) * math.sqrt(pops[1] * pops[2])
-    ph14 = float(rng.uniform(0, 2 * math.pi))
-    ph23 = float(rng.uniform(0, 2 * math.pi))
+    positivity-bounded coherences with random phases).
+
+    The flat Dirichlet populations are four Exp(1) draws over their sum.
+    """
+    exps = [rng.expovariate(1.0) for _ in range(4)]
+    total = sum(exps)
+    pops = [e / total for e in exps]
+    m14 = rng.uniform(0, 1) * math.sqrt(pops[0] * pops[3])
+    m23 = rng.uniform(0, 1) * math.sqrt(pops[1] * pops[2])
+    ph14 = rng.uniform(0, 2 * math.pi)
+    ph23 = rng.uniform(0, 2 * math.pi)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = pops
     rho[0, 3] = m14 * np.exp(1j * ph14)
@@ -175,7 +182,7 @@ def random_x_state(rng) -> np.ndarray:
 
 def _checks(quick: bool, dt: float, gamma: float | None) -> Iterator[Check]:
     """Every check of `validate`, in order, on inputs drawn from a fixed seed."""
-    rng = np.random.default_rng(20240817)
+    rng = random.Random(20240817)
     base_gamma = 0.2 if gamma is None else gamma
     yield initial_condition([ModelParams(theta=float(theta), gamma=base_gamma)
                              for theta in np.linspace(0.0, math.pi / 2, 9)])

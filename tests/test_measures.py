@@ -7,8 +7,10 @@ import pytest
 from helpers import random_density, random_pure_state, random_unitary, random_x_state
 from spinchain import (
     BasisRotation,
+    ModelParams,
     NotHermitian,
     NotXForm,
+    analytic_state,
     concurrence_generic,
     concurrence_x,
     evaluate_measures,
@@ -160,9 +162,14 @@ def test_qfi_maximally_mixed_vanishes(rng):
     assert qfi(np.eye(4, dtype=complex) / 4.0, h) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_qfi_rejects_non_hermitian_generator():
+def test_qfi_rejects_non_hermitian_generator(rng):
     with pytest.raises(NotHermitian):
         qfi(np.eye(4) / 4.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # also on a stack of states
+    h = np.kron(SIGMA_X, IDENTITY_2)
+    h[0, 1] += 1e-6
+    with pytest.raises(NotHermitian, match=r"^generator hermiticity defect 1\.000e-06 exceeds"):
+        qfi(np.array([random_density(rng) for _ in range(5)]), h)
 
 
 def test_lqfi_anchors():
@@ -442,3 +449,79 @@ def test_lqfi_keeps_pairs_just_above_pair_eps(rng):
     with pytest.raises(NotXForm):
         lqfi(rotated)
     assert lqfi_bruteforce(rotated) == pytest.approx(0.3188204851194174, abs=1e-10)
+
+
+# --- the generic routes on stacks -----------------------------------------------
+
+_PROBE = np.kron(SIGMA_X, IDENTITY_2) + 0.3 * np.kron(SIGMA_Z, SIGMA_Y)
+GENERIC_ROUTES = [concurrence_generic, partial(qfi, h=_PROBE), lqfi_bruteforce]
+
+
+def _route_id(route):
+    return getattr(route, "__name__", None) or route.func.__name__
+
+
+@pytest.mark.parametrize("draw", [random_x_state, random_density])
+@pytest.mark.parametrize("route", GENERIC_ROUTES, ids=_route_id)
+def test_stacked_generic_routes_match_single_state_calls(draw, route, rng):
+    stack = np.array([draw(rng) for _ in range(40)])
+    values = route(stack)
+    singles = [route(rho) for rho in stack]
+    assert values.shape == (40,)
+    assert all(isinstance(one, float) for one in singles)
+    assert np.array_equal(values, singles)
+
+
+def _with_spectrum(rng, spectrum):
+    """A generic state with the given eigenvalues in a random basis."""
+    u = np.kron(random_unitary(rng), random_unitary(rng)) @ random_unitary(rng, 4)
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("route", GENERIC_ROUTES[1:], ids=_route_id)
+def test_stacked_generic_guards_name_the_first_bad_state(route, rng):
+    stack = np.array([random_density(rng) for _ in range(12)])
+    negative = stack.copy()
+    negative[4] = _with_spectrum(rng, [0.6 + 3e-9, 0.3, 0.1, -3e-9])
+    negative[9] = _with_spectrum(rng, [0.6 + 1e-8, 0.3, 0.1, -1e-8])  # more negative, but later
+    with pytest.raises(NotPositive, match=r"^density eigenvalue -3\.000e-09 below -1e-09$") as err:
+        route(negative)
+    assert err.value.index == 4
+    skewed = stack.copy()
+    skewed[7, 0, 2] += 2e-6
+    with pytest.raises(NotHermitian, match=r"^state hermiticity defect 2\.000e-06 exceeds 1e-10$"):
+        route(skewed)
+
+
+SHAPED_ROUTES = [lqfi, lqfi_paper_variant, concurrence_x, evaluate_measures, l1_coherence,
+                 concurrence_generic, lqfi_bruteforce, partial(qfi, h=_PROBE)]
+
+
+@pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.ones((4, 3)) / 4.0, np.ones((2, 3, 4, 4))],
+                         ids=["2x2", "4x3", "4-d"])
+@pytest.mark.parametrize("route", SHAPED_ROUTES, ids=_route_id)
+def test_routes_name_a_wrong_shape(route, rho):
+    with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, rho.shape))}\)$") as err:
+        route(rho)
+    assert err.type is ValueError
+
+
+# --- which qubit the LQFI probes ------------------------------------------------
+
+# exchanges the two tensor factors: |01> <-> |10>
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def test_lqfi_probes_the_first_site():
+    # default run at t = 2.5: the first site (field -b) against the
+    # second (+b), which is the first site of the swapped state
+    rho = analytic_state(ModelParams(theta=math.pi / 4), 2.5)
+    swapped = _SWAP @ rho @ _SWAP
+    both = np.array([rho, swapped])
+    assert lqfi(rho) == pytest.approx(0.5508815222, abs=1e-6)
+    assert lqfi(swapped) == pytest.approx(0.2922292429, abs=1e-6)
+    assert np.abs(lqfi_bruteforce(both) - lqfi(both)).max() <= 1e-10
+    # without the staggered field the two sites are equivalent
+    times = np.linspace(0.0, 20.0, 201)
+    states = analytic_state(ModelParams(theta=math.pi / 4, b=0.0), times)
+    assert np.abs(lqfi(states) - lqfi(_SWAP @ states @ _SWAP)).max() <= 1e-12

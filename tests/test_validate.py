@@ -1,8 +1,14 @@
 """The `validate` checks fail on the values they guard, at their bounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinchain
 from spinchain.cli import main
 from spinchain.validate import conservation
 
@@ -44,3 +50,29 @@ def test_validate_exits_1_on_a_failing_check(dt, detail, capsys):
     out = capsys.readouterr().out
     assert detail in out
     assert out.endswith("validate: FAIL (1 failing checks)\n")
+
+
+# prints validate's lines, then whether numpy.random was ever imported
+_QUICK_IN_FRESH_PROCESS = """
+import sys
+from spinchain.cli import main
+status = main(["validate", "--quick"])
+print("numpy.random imported:", "numpy.random" in sys.modules)
+sys.exit(status)
+"""
+
+
+def test_validate_quick_draws_without_numpy_random(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(spinchain.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", _QUICK_IN_FRESH_PROCESS],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0][-2:] == ["validate: OK (0 failing checks)", "numpy.random imported: False"]
+    # the draws are seeded: a second process prints the same lines
+    assert outputs[0] == outputs[1]
