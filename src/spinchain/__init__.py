@@ -18,7 +18,6 @@ from .dynamics import (
     record_from_state,
     steady_state_limit,
     validate_density,
-    x_components,
     x_leakage,
 )
 from .measures import (
@@ -35,18 +34,14 @@ from .measures import (
     lqfi_bruteforce,
     lqfi_paper_variant,
     qfi,
-    rotation_unitary,
-    two_qubit_rotation,
 )
 from .model import (
     DerivedScales,
     ModelParams,
-    SpectrumClosedForm,
     derived_scales,
     hamiltonian_block,
     initial_state,
     jump_operators,
-    spectrum_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +56,6 @@ __all__ = [
     "NotHermitian",
     "NotXForm",
     "SingularScale",
-    "SpectrumClosedForm",
     "StepUnstable",
     "TimeSeriesRecord",
     "XConcurrence",
@@ -81,11 +75,7 @@ __all__ = [
     "lqfi_paper_variant",
     "qfi",
     "record_from_state",
-    "rotation_unitary",
-    "spectrum_closed_form",
     "steady_state_limit",
-    "two_qubit_rotation",
     "validate_density",
-    "x_components",
     "x_leakage",
 ]

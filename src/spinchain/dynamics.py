@@ -38,10 +38,12 @@ all N in one loop of stacked matrix-vector products. The block length does
 not depend on N, so each point's states are bit for bit those of its own
 call.
 
-The per-sample helpers (`x_components`, `x_leakage`, `hermiticity_defect`,
-`record_from_state`) take one 4x4 state or a (T, 4, 4) stack of states and
-return floats for one state and length-T arrays for a stack, so a whole
-trajectory is reduced in one call.
+The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`)
+take one 4x4 state or a (T, 4, 4) stack of states and return floats for one
+state and length-T arrays for a stack, so a whole trajectory is reduced in
+one call. They and every measure route read their input through
+`as_states`, which raises a ValueError naming the shape of anything else.
+`hermiticity_defect` takes any square matrix or stack of them.
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ def per_state(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def as_states(rho) -> np.ndarray:
+    """rho as a complex (4, 4) or (N, 4, 4) array; any other shape raises ValueError."""
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim not in (2, 3) or r.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 state or an (N, 4, 4) stack, got shape {r.shape}")
+    return r
+
+
 def magnitude(z):
     """|z| computed as hypot(Re z, Im z), the rounding of Python's abs(complex).
 
@@ -153,7 +163,7 @@ def magnitude(z):
 
 
 def x_components(rho) -> XComponents:
-    r = np.asarray(rho, dtype=complex)
+    r = as_states(rho)
     # [()] turns the 0-d results of one state into numpy scalars
     return XComponents(
         rho11=r[..., 0, 0].real[()],
@@ -167,7 +177,7 @@ def x_components(rho) -> XComponents:
 
 def x_leakage(rho) -> float | np.ndarray:
     """Largest entry magnitude outside the X sparsity pattern, per state."""
-    r = np.asarray(rho, dtype=complex)
+    r = as_states(rho)
     return per_state(np.max(np.abs(r[..., _OFF_ROWS, _OFF_COLS]), axis=-1))
 
 
@@ -531,7 +541,7 @@ def record_from_state(t, rho, min_eig=None) -> TimeSeriesRecord:
     already (`measures.evaluate_measures` reports it); otherwise it is the
     smallest eigenvalue of the Hermitian part.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = as_states(rho)
     c = x_components(r)
     if min_eig is None:
         min_eig = np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]

@@ -35,13 +35,16 @@ The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
 (T, 4, 4) stack and return floats for one state and length-T arrays for a
 stack, so a whole trajectory is measured in one call. Their guards check
-every element and raise for the first one that fails. No eigh runs in
-them: `evaluate_measures` solves each state's two blocks once, and the
-block spectra give `lqfi` and the `min_eig` it reports. The generic routes
-(`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take the same two
-shapes and run one eigh per state: `lqfi_bruteforce` reuses it for all six
-polarization generators. Every route raises a ValueError naming the shape
-of an input that is neither 4x4 nor a stack of 4x4 states.
+every element and raise for the first one that fails, in one order:
+NotHermitian, then NotXForm, then NotPositive. No eigh runs in them:
+`evaluate_measures` runs the guards once, reads each state's X components
+once and solves its two blocks once; the components give both concurrence
+branches, and the block spectra give `lqfi` and the `min_eig` it reports.
+The generic routes (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take
+the same two shapes and run one eigh per state: `lqfi_bruteforce` reuses
+it for all six polarization generators. Every route reads its input
+through `dynamics.as_states`, which raises a ValueError naming the shape of
+an input that is neither 4x4 nor a stack of 4x4 states.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .dynamics import (
     EIG_CLAMP,
     HERMITIAN_TOL,
     X_FORM_TOL,
+    XComponents,
+    as_states,
     hermiticity_defect,
     magnitude,
     per_state,
@@ -133,7 +138,7 @@ def concurrence_generic(rho) -> float | np.ndarray:
     conj(sqrt(rho)), which is algebraically the same but does not amplify
     eps-sized spurious eigenvalues to sqrt(eps) on rank-deficient states.
     """
-    r = _states(rho)
+    r = as_states(rho)
     w, v = np.linalg.eigh((r + _adjoint(r)) / 2.0)
     w[w < 0.0] = 0.0  # clamp roundoff negatives before the root
     sq = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
@@ -147,7 +152,11 @@ def concurrence_x(rho) -> XConcurrence:
     Raises NotXForm when any off-pattern entry of a state exceeds the X
     budget.
     """
-    c = x_components(_x_form_states(rho))
+    return _x_concurrence(x_components(_x_form_states(rho)))
+
+
+def _x_concurrence(c: XComponents) -> XConcurrence:
+    """Concurrence and both branches from the X components of states that passed the X guard."""
     c1 = magnitude(c.rho23) - np.sqrt(np.maximum(c.rho11, 0.0) * np.maximum(c.rho44, 0.0))
     c2 = magnitude(c.rho14) - np.sqrt(np.maximum(c.rho22, 0.0) * np.maximum(c.rho33, 0.0))
     conc = 2.0 * np.maximum(np.maximum(c1, c2), 0.0)
@@ -171,14 +180,11 @@ class BasisRotation:
                 raise ValueError(f"{name} must be finite")
 
 
-def rotation_unitary(rot: BasisRotation) -> np.ndarray:
+def _two_qubit_rotation(rot: BasisRotation) -> np.ndarray:
+    """U x U, with U the single-qubit unitary of `rot`."""
     c, s = math.cos(rot.phi), math.sin(rot.phi)
     phase = np.exp(1j * rot.varphi)
-    return np.array([[c, -phase * s], [np.conj(phase) * s, c]], dtype=complex)
-
-
-def two_qubit_rotation(rot: BasisRotation) -> np.ndarray:
-    u = rotation_unitary(rot)
+    u = np.array([[c, -phase * s], [np.conj(phase) * s, c]], dtype=complex)
     return np.kron(u, u)
 
 
@@ -187,9 +193,9 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
 
     For an X state in the unrotated basis this is 2|rho23| + 2|rho14|.
     """
-    r = _states(rho)
+    r = as_states(rho)
     if rotation is not None:
-        u = two_qubit_rotation(rotation)
+        u = _two_qubit_rotation(rotation)
         r = u @ r @ u.conj().T
     a = np.abs(r)
     n = a.shape[-1]
@@ -197,31 +203,18 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
     return per_state(a.sum(axis=(-2, -1)))
 
 
-def _shape_error(r) -> ValueError:
-    return ValueError(f"expected a 4x4 state or an (N, 4, 4) stack, got shape {r.shape}")
-
-
-def _states(rho) -> np.ndarray:
-    """rho as a complex (4, 4) or (N, 4, 4) array; any other shape raises ValueError."""
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim not in (2, 3) or r.shape[-2:] != (4, 4):
-        raise _shape_error(r)
-    return r
-
-
 def _hermitian_states(rho) -> np.ndarray:
-    """rho as a complex array, after the Hermiticity guard on every state.
+    """rho as 4x4 states, after the Hermiticity guard on every state.
 
-    The guard reads any square matrices, so a non-Hermitian input is named
-    as such before `_states` checks its size.
+    The guard reads any square matrices or stack of them, so a
+    non-Hermitian input is named as such before `as_states` checks its size.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.ndim not in (2, 3) or r.shape[-1] != r.shape[-2]:
-        raise _shape_error(r)
-    bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
-    if bad:
-        raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return r
+    if r.ndim in (2, 3) and r.shape[-1] == r.shape[-2]:
+        bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
+        if bad:
+            raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return as_states(r)
 
 
 def _x_form_states(rho):
@@ -229,7 +222,7 @@ def _x_form_states(rho):
 
     ValueError names a wrong shape; NotXForm names the first offender.
     """
-    rho = _states(rho)
+    rho = as_states(rho)
     bad = _first_above(x_leakage(rho), X_FORM_TOL)
     if bad:
         raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
@@ -265,13 +258,13 @@ def _block_spectrum(a, d, c) -> _XBlock:
     return _XBlock(mean - gap, mean + gap, np.where(split, half / safe, 1.0), mag / safe)
 
 
-def _x_blocks(r) -> tuple[_XBlock, _XBlock]:
+def _x_blocks(c: XComponents) -> tuple[_XBlock, _XBlock]:
     """The outer {|00>, |11>} and inner {|01>, |10>} block spectra of X states.
 
-    `r` has passed the Hermiticity guard; NotPositive names the first state
-    whose smaller block eigenvalue lies below -EIG_CLAMP.
+    `c` holds the components of states that passed the Hermiticity and
+    X-pattern guards; NotPositive names the first state whose smaller block
+    eigenvalue lies below -EIG_CLAMP.
     """
-    c = x_components(r)
     outer = _block_spectrum(c.rho11, c.rho44, c.rho14)
     inner = _block_spectrum(c.rho22, c.rho33, c.rho23)
     _check_positive(np.minimum(outer.low, inner.low))
@@ -303,7 +296,7 @@ def _guarded_eigh(rho):
 
     Eigenvalues in [-EIG_CLAMP, 0) pass the guard; the QFI counts them as 0.
     """
-    p, v = np.linalg.eigh(_states(_hermitian_states(rho)))
+    p, v = np.linalg.eigh(_hermitian_states(rho))
     _check_positive(p[..., 0])
     return p, v
 
@@ -363,10 +356,10 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = T
 
 def _guarded_blocks(rho) -> tuple[_XBlock, _XBlock]:
     """The block spectra of `rho`, after the Hermiticity, X-pattern and positivity guards."""
-    return _x_blocks(_x_form_states(_hermitian_states(rho)))
+    return _x_blocks(x_components(_x_form_states(_hermitian_states(rho))))
 
 
-def lqfi(rho, blocks=None) -> float | np.ndarray:
+def lqfi(rho) -> float | np.ndarray:
     """Local quantum Fisher information of X states, Q = 1 - lambda_max(M).
 
     Full double sum (diagonal included), which makes Q equal the minimum of
@@ -380,12 +373,8 @@ def lqfi(rho, blocks=None) -> float | np.ndarray:
     Q comes in closed form from the two 2x2 block spectra, elementwise over
     the stack. Raises NotHermitian, then NotXForm for a state outside the
     X pattern (`lqfi_bruteforce` takes any state), then NotPositive.
-    `blocks` is the guarded block decomposition of `rho` when the caller
-    already holds it (`evaluate_measures` passes its own).
     """
-    if blocks is None:
-        blocks = _guarded_blocks(rho)
-    return per_state(_lqfi_from_blocks(*blocks))
+    return per_state(_lqfi_from_blocks(*_guarded_blocks(rho)))
 
 
 def lqfi_paper_variant(rho) -> float | np.ndarray:
@@ -443,18 +432,21 @@ class MeasureSet:
 def evaluate_measures(rho) -> MeasureSet:
     """Bundle the X-state measures of one state or of a (T, 4, 4) stack.
 
-    Each state's two 2x2 blocks are solved once, in closed form: the same
-    block spectra give `lqfi` and `min_eig`, the smaller of the two lower
-    block eigenvalues. No eigh runs.
+    The guards run once, in the order of `lqfi`: NotHermitian, NotXForm,
+    NotPositive. Each state's X components are read once and its two 2x2
+    blocks solved once, in closed form: the components give the concurrence
+    and its branches, and the block spectra give `lqfi` and `min_eig`, the
+    smaller of the two lower block eigenvalues. No eigh runs.
     """
-    xc = concurrence_x(rho)
-    l1 = l1_coherence(rho)
-    blocks = _x_blocks(_hermitian_states(rho))
+    r = _x_form_states(_hermitian_states(rho))
+    c = x_components(r)
+    outer, inner = _x_blocks(c)
+    xc = _x_concurrence(c)
     return MeasureSet(
         concurrence=xc.concurrence,
         c1_branch=xc.c1_branch,
         c2_branch=xc.c2_branch,
-        l1_coherence=l1,
-        lqfi=lqfi(rho, blocks),
-        min_eig=per_state(np.minimum(blocks[0].low, blocks[1].low)),
+        l1_coherence=l1_coherence(r),
+        lqfi=per_state(_lqfi_from_blocks(outer, inner)),
+        min_eig=per_state(np.minimum(outer.low, inner.low)),
     )

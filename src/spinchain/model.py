@@ -105,30 +105,6 @@ def hamiltonian_block(p: ModelParams) -> np.ndarray:
     return h
 
 
-class SpectrumClosedForm(NamedTuple):
-    """Sector eigenvalues; e1/e4 from the outer pair, e2/e3 from the inner."""
-
-    e1: float
-    e2: float
-    e3: float
-    e4: float
-
-
-def spectrum_closed_form(p: ModelParams) -> SpectrumClosedForm:
-    """Closed-form eigenvalues of `hamiltonian_block`.
-
-    e1,4 = B*mu/2 + Jz/4 +/- Omega/2 and e2,3 = B*mu/2 - Jz/4 +/- omega/2.
-    """
-    d = derived_scales(p)
-    shift = p.B * p.mu / 2.0
-    return SpectrumClosedForm(
-        e1=shift + p.Jz / 4.0 + d.Omega / 2.0,
-        e2=shift - p.Jz / 4.0 + d.omega / 2.0,
-        e3=shift - p.Jz / 4.0 - d.omega / 2.0,
-        e4=shift + p.Jz / 4.0 - d.Omega / 2.0,
-    )
-
-
 def jump_operators(p: ModelParams) -> list[tuple[np.ndarray, float]]:
     """Per-site lowering operators with their damping rates.
 

@@ -21,7 +21,6 @@ from spinchain import (
     record_from_state,
     steady_state_limit,
     validate_density,
-    x_components,
     x_leakage,
 )
 from spinchain.dynamics import (
@@ -34,6 +33,7 @@ from spinchain.dynamics import (
     _rk4_step,
     hermiticity_defect,
     max_abs,
+    x_components,
 )
 
 
@@ -400,6 +400,25 @@ def test_batched_unstable_point_is_named_by_index():
         evolve(initial_state(0.3), points[2], cfg)
     assert single.value.index == 0
     assert str(err.value) == str(single.value)
+
+
+def test_jz_and_the_j0_zero_sectors_drop_out():
+    # (Jz/4) sz x sz is +Jz/4 on the whole outer block and -Jz/4 on the whole
+    # inner block, so it commutes with every X state; at J0 = 0 every sector
+    # has Delta = B, and its shift B mu / 2 is a multiple of the identity
+    cfg = IntegratorConfig(dt=0.01, t_max=20.0)
+    thetas = (0.0, 0.3, math.pi / 4)
+    rho0 = np.stack([initial_state(theta) for theta in thetas])
+    _, states = evolve(np.repeat(rho0, 2, axis=0),
+                       [ModelParams(theta=theta, Jz=jz) for theta in thetas for jz in (0.0, 3.0)],
+                       cfg)
+    assert np.abs(states[0::2] - states[1::2]).max() <= 1e-13
+    _, states = evolve(np.repeat(rho0, 3, axis=0),
+                       [ModelParams(theta=theta, J0=0.0, mu=mu) for theta in thetas
+                        for mu in (1, 0, -1)], cfg)
+    plus, zero, minus = states.reshape(3, 3, *states.shape[1:]).swapaxes(0, 1)
+    for other in (zero, minus, 0.25 * plus + 0.5 * zero + 0.25 * minus):
+        assert np.abs(other - plus).max() <= 1e-13
 
 
 # --- stationary state ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from helpers import random_density, random_pure_state, random_unitary, random_x_state
 from spinchain import (
     BasisRotation,
+    IntegratorConfig,
     ModelParams,
     NotHermitian,
     NotXForm,
@@ -14,17 +15,18 @@ from spinchain import (
     concurrence_generic,
     concurrence_x,
     evaluate_measures,
+    evolve,
     initial_state,
     l1_coherence,
     lqfi,
     lqfi_bruteforce,
     lqfi_paper_variant,
     qfi,
-    rotation_unitary,
-    two_qubit_rotation,
+    record_from_state,
+    x_leakage,
 )
-from spinchain.dynamics import X_FORM_TOL, max_abs, x_leakage
-from spinchain.measures import EIG_CLAMP, NotPositive
+from spinchain.dynamics import X_FORM_TOL, max_abs, x_components
+from spinchain.measures import EIG_CLAMP, NotPositive, _two_qubit_rotation
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -125,23 +127,29 @@ def test_l1_rotated_anchor():
     assert l1_coherence(rho, BasisRotation(math.pi / 4, 0.0)) == pytest.approx(3.0, abs=1e-12)
 
 
+def _rotation_unitary(rot):
+    """The single-qubit U of the `BasisRotation` docstring, the tests' reference."""
+    c, s = math.cos(rot.phi), math.sin(rot.phi)
+    phase = np.exp(1j * rot.varphi)
+    return np.array([[c, -phase * s], [np.conj(phase) * s, c]], dtype=complex)
+
+
 def test_l1_rotation_consistent_with_unitary_helpers(rng):
     for _ in range(10):
         rho = random_x_state(rng)
         rot = BasisRotation(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-        u = two_qubit_rotation(rot)
+        u = np.kron(_rotation_unitary(rot), _rotation_unitary(rot))
         assert l1_coherence(rho, rot) == pytest.approx(
             l1_coherence(u @ rho @ u.conj().T), abs=1e-12)
 
 
 def test_rotation_unitary_anchors():
-    assert max_abs(rotation_unitary(BasisRotation(0.0, 0.0)) - np.eye(2)) == 0.0
-    u = rotation_unitary(BasisRotation(math.pi / 2, 0.0))
-    assert max_abs(u @ u.conj().T - np.eye(2)) < 1e-15
-    assert abs(u[0, 0]) < 1e-15
-    full = two_qubit_rotation(BasisRotation(0.3, 0.7))
-    assert max_abs(full - np.kron(rotation_unitary(BasisRotation(0.3, 0.7)),
-                                  rotation_unitary(BasisRotation(0.3, 0.7)))) == 0.0
+    assert max_abs(_two_qubit_rotation(BasisRotation(0.0, 0.0)) - np.eye(4)) == 0.0
+    full = _two_qubit_rotation(BasisRotation(math.pi / 2, 0.0))
+    assert max_abs(full @ full.conj().T - np.eye(4)) < 1e-15
+    assert abs(full[0, 0]) < 1e-15
+    u = _rotation_unitary(BasisRotation(0.3, 0.7))
+    assert max_abs(_two_qubit_rotation(BasisRotation(0.3, 0.7)) - np.kron(u, u)) == 0.0
 
 
 # --- quantum Fisher information ------------------------------------------------
@@ -298,14 +306,14 @@ def test_stack_guards_fire_on_one_bad_element(rng):
     off_pattern = stack.copy()
     off_pattern[7, 0, 1] = off_pattern[7, 1, 0] = 1e-6
     off_pattern[9, 0, 2] = off_pattern[9, 2, 0] = 1e-5  # larger, but later
-    for measure in (concurrence_x, lqfi, lqfi_paper_variant):
+    for measure in (concurrence_x, lqfi, lqfi_paper_variant, evaluate_measures):
         with pytest.raises(NotXForm, match=r"^off-pattern magnitude 1\.000e-06 exceeds"):
             measure(off_pattern)
     skewed = stack.copy()
     skewed[11, 0, 3] += 1e-6
     # the Hermiticity guard runs first, also on a stack that leaves the X pattern
     for states in (skewed, np.concatenate([off_pattern[:11], skewed[11:]])):
-        for measure in (lqfi, lqfi_paper_variant):
+        for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
             with pytest.raises(NotHermitian, match="state hermiticity defect 1.000e-06"):
                 measure(states)
 
@@ -494,7 +502,8 @@ def test_stacked_generic_guards_name_the_first_bad_state(route, rng):
 
 
 SHAPED_ROUTES = [lqfi, lqfi_paper_variant, concurrence_x, evaluate_measures, l1_coherence,
-                 concurrence_generic, lqfi_bruteforce, partial(qfi, h=_PROBE)]
+                 concurrence_generic, lqfi_bruteforce, partial(qfi, h=_PROBE),
+                 x_leakage, x_components, partial(record_from_state, 0.0)]
 
 
 @pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.ones((4, 3)) / 4.0, np.ones((2, 3, 4, 4))],
@@ -525,3 +534,27 @@ def test_lqfi_probes_the_first_site():
     times = np.linspace(0.0, 20.0, 201)
     states = analytic_state(ModelParams(theta=math.pi / 4, b=0.0), times)
     assert np.abs(lqfi(states) - lqfi(_SWAP @ states @ _SWAP)).max() <= 1e-12
+
+
+_SECOND_SITE_OBS = [np.kron(IDENTITY_2, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+
+
+def _second_site_lqfi(states):
+    """min over unit r of qfi(rho, I x r.sigma): lambda_min of its 3x3 form, by polarization."""
+    g = [qfi(states, h) for h in _SECOND_SITE_OBS]
+    f = np.zeros(np.shape(g[0]) + (3, 3))
+    for i in range(3):
+        f[..., i, i] = g[i]
+        for j in range(i + 1, 3):
+            h = _SECOND_SITE_OBS[i] + _SECOND_SITE_OBS[j]
+            f[..., i, j] = f[..., j, i] = 0.5 * (qfi(states, h) - g[i] - g[j])
+    return np.linalg.eigvalsh(f)[..., 0]
+
+
+def test_second_site_lqfi_matches_its_polarization_route(rng):
+    # the second site's LQFI by generators on the second tensor factor,
+    # against the fast route on the swapped state
+    stack = np.array([random_x_state(rng) for _ in range(500)])
+    _, run = evolve(initial_state(math.pi / 4), ModelParams(), IntegratorConfig())
+    for states in (stack, run):
+        assert np.abs(_second_site_lqfi(states) - lqfi(_SWAP @ states @ _SWAP)).max() <= 1e-13

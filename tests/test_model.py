@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from spinchain import (
     hamiltonian_block,
     initial_state,
     jump_operators,
-    spectrum_closed_form,
 )
 from spinchain.dynamics import max_abs
 from spinchain.model import IDENTITY_2, SIGMA_MINUS
@@ -63,6 +63,30 @@ def test_hamiltonian_is_hermitian_with_x_sparsity(rng):
         for i, j in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             assert h[i, j] == 0.0
             assert h[j, i] == 0.0
+
+
+class SpectrumClosedForm(NamedTuple):
+    """Sector eigenvalues; e1/e4 from the outer pair, e2/e3 from the inner."""
+
+    e1: float
+    e2: float
+    e3: float
+    e4: float
+
+
+def spectrum_closed_form(p: ModelParams) -> SpectrumClosedForm:
+    """Closed-form eigenvalues of `hamiltonian_block`, the reference of the tests below.
+
+    e1,4 = B*mu/2 + Jz/4 +/- Omega/2 and e2,3 = B*mu/2 - Jz/4 +/- omega/2.
+    """
+    d = derived_scales(p)
+    shift = p.B * p.mu / 2.0
+    return SpectrumClosedForm(
+        e1=shift + p.Jz / 4.0 + d.Omega / 2.0,
+        e2=shift - p.Jz / 4.0 + d.omega / 2.0,
+        e3=shift - p.Jz / 4.0 - d.omega / 2.0,
+        e4=shift + p.Jz / 4.0 - d.Omega / 2.0,
+    )
 
 
 def test_closed_form_spectrum_matches_direct_diagonalization(rng):
