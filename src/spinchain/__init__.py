@@ -25,7 +25,6 @@ from .measures import (
     MeasureSet,
     NotHermitian,
     NotXForm,
-    XConcurrence,
     concurrence_generic,
     concurrence_x,
     evaluate_measures,
@@ -58,7 +57,6 @@ __all__ = [
     "SingularScale",
     "StepUnstable",
     "TimeSeriesRecord",
-    "XConcurrence",
     "analytic_state",
     "concurrence_generic",
     "concurrence_x",

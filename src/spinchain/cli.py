@@ -34,6 +34,7 @@ from .model import ModelParams, initial_state
 from .plotting import UnknownColumn, emit_plot, read_csv
 from .validate import run_validate
 
+# the fields of TimeSeriesRecord and of MeasureSet, and l1_rotated, in output order
 CSV_COLUMNS = [
     "t", "rho11", "rho22", "rho33", "rho44", "abs_rho14", "abs_rho23",
     "concurrence", "c1_branch", "c2_branch", "l1_coherence", "l1_rotated",
@@ -208,15 +209,9 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                 f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
                 f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
                 point) from exc
-        rec = record_from_state(times, rho, ms.min_eig)
         l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
-        rows = np.column_stack([
-            rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44,
-            rec.abs_rho14, rec.abs_rho23,
-            ms.concurrence, ms.c1_branch, ms.c2_branch,
-            ms.l1_coherence, l1_rot, ms.lqfi,
-            rec.trace_dev, rec.min_eig,
-        ])
+        columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
+        rows = np.column_stack([columns[name] for name in CSV_COLUMNS])
         block = table[point * len(times):(point + 1) * len(times)]
         if is_ref:
             block[:, lead + len(CSV_COLUMNS):] = rows[:, 1:]
@@ -315,6 +310,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         raise ConfigError(f"sweep parameter must be one of {_PARAM_KEYS}, got {param!r}")
     if count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {count}")
+    if param == "mu" and cfg.mode == "sector-mixture":
+        raise ConfigError("a sector-mixture run averages over mu; sweep mu in single-sector mode")
     sweep = []
     for v in np.linspace(start, stop, count):
         value = v

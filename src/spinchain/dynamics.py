@@ -38,12 +38,13 @@ all N in one loop of stacked matrix-vector products. The block length does
 not depend on N, so each point's states are bit for bit those of its own
 call.
 
-The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`)
-take one 4x4 state or a (T, 4, 4) stack of states and return floats for one
-state and length-T arrays for a stack, so a whole trajectory is reduced in
-one call. They and every measure route read their input through
-`as_states`, which raises a ValueError naming the shape of anything else.
-`hermiticity_defect` takes any square matrix or stack of them.
+The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`,
+`min_eigenvalue`) take one 4x4 state or a (T, 4, 4) stack of states and
+return floats for one state and length-T arrays for a stack, so a whole
+trajectory is reduced in one call. They and every measure route read their
+input through `as_states`, which raises a ValueError naming the shape of
+anything else, or naming NaN or Inf entries. `hermiticity_defect` takes any
+square matrix or stack of them.
 """
 
 from __future__ import annotations
@@ -146,10 +147,15 @@ def per_state(values):
 
 
 def as_states(rho) -> np.ndarray:
-    """rho as a complex (4, 4) or (N, 4, 4) array; any other shape raises ValueError."""
+    """rho as a complex (4, 4) or (N, 4, 4) array of finite entries.
+
+    Any other shape, or a NaN or Inf entry, raises ValueError.
+    """
     r = np.asarray(rho, dtype=complex)
     if r.ndim not in (2, 3) or r.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state or an (N, 4, 4) stack, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("state contains NaN or Inf entries")
     return r
 
 
@@ -201,24 +207,28 @@ def hermiticity_defect(a) -> float | np.ndarray:
     return per_state(np.sqrt(np.max(sq, axis=(-2, -1))))
 
 
+def min_eigenvalue(states) -> float | np.ndarray:
+    """Smallest eigenvalue of each state's Hermitian part, the generic check of min_eig."""
+    r = as_states(states)
+    return per_state(np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0])
+
+
 def validate_density(rho) -> np.ndarray:
     """Check the density-matrix invariants, returning the array on success.
 
-    Hermitian within HERMITIAN_TOL, unit trace within 1e-9, eigenvalues
-    above -1e-9, every entry finite; 4x4.
+    4x4 with finite entries (`as_states`), Hermitian within HERMITIAN_TOL,
+    unit trace within 1e-9, eigenvalues above -1e-9.
     """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got {r.shape}")
-    if not np.all(np.isfinite(r.real)) or not np.all(np.isfinite(r.imag)):
-        raise ValueError("density matrix contains NaN or Inf entries")
+    if np.shape(rho) != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got {np.shape(rho)}")
+    r = as_states(rho)
     herm = hermiticity_defect(r)
     if herm > HERMITIAN_TOL:
         raise ValueError(f"density matrix hermiticity defect {herm:.3e} > {HERMITIAN_TOL:.3e}")
     tr_dev = abs(complex(np.trace(r)) - 1.0)
     if tr_dev > _TRACE_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
-    min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
+    min_eig = min_eigenvalue(r)
     if min_eig < -EIG_CLAMP:
         raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {-EIG_CLAMP:.3e}")
     return r
@@ -518,9 +528,10 @@ def steady_state_limit(p: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesRecord:
-    """Populations, coherence magnitudes, and health diagnostics of samples.
+    """Time, populations, coherence magnitudes and trace deviation of samples.
 
     Each field is a float for one sample and a length-T array for a stack.
+    The measures, `min_eig` among them, are `measures.MeasureSet`'s.
     """
 
     t: float
@@ -531,20 +542,12 @@ class TimeSeriesRecord:
     abs_rho14: float
     abs_rho23: float
     trace_dev: float
-    min_eig: float
 
 
-def record_from_state(t, rho, min_eig=None) -> TimeSeriesRecord:
-    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T].
-
-    `min_eig` is taken as given when the caller has decomposed the states
-    already (`measures.evaluate_measures` reports it); otherwise it is the
-    smallest eigenvalue of the Hermitian part.
-    """
+def record_from_state(t, rho) -> TimeSeriesRecord:
+    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T]."""
     r = as_states(rho)
     c = x_components(r)
-    if min_eig is None:
-        min_eig = np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
     return TimeSeriesRecord(
         t=per_state(np.asarray(t, dtype=float)),
         rho11=per_state(c.rho11),
@@ -554,5 +557,4 @@ def record_from_state(t, rho, min_eig=None) -> TimeSeriesRecord:
         abs_rho14=per_state(magnitude(c.rho14)),
         abs_rho23=per_state(magnitude(c.rho23)),
         trace_dev=per_state(np.abs(np.trace(r, axis1=-2, axis2=-1) - 1.0)),
-        min_eig=per_state(min_eig),
     )

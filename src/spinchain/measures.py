@@ -44,7 +44,8 @@ The generic routes (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take
 the same two shapes and run one eigh per state: `lqfi_bruteforce` reuses
 it for all six polarization generators. Every route reads its input
 through `dynamics.as_states`, which raises a ValueError naming the shape of
-an input that is neither 4x4 nor a stack of 4x4 states.
+an input that is neither 4x4 nor a stack of 4x4 states, or naming NaN or
+Inf entries.
 """
 
 from __future__ import annotations
@@ -111,20 +112,6 @@ def _first_above(values, tol):
     return (int(hits[0]), float(flat[hits[0]])) if hits.size else None
 
 
-class XConcurrence(NamedTuple):
-    """Concurrence of an X state and its two raw branches (arrays for a stack).
-
-    c1_branch = |rho23| - sqrt(rho11 rho44) (inner coherence channel),
-    c2_branch = |rho14| - sqrt(rho22 rho33) (outer coherence channel);
-    concurrence = 2 * max(c1_branch, c2_branch, 0). Branches may be
-    negative.
-    """
-
-    concurrence: float
-    c1_branch: float
-    c2_branch: float
-
-
 def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
@@ -146,21 +133,20 @@ def concurrence_generic(rho) -> float | np.ndarray:
     return per_state(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0))
 
 
-def concurrence_x(rho) -> XConcurrence:
-    """Closed-form concurrence of an X-form state, with both branches.
+def concurrence_x(rho) -> float | np.ndarray:
+    """Closed-form concurrence of X-form states, one or a stack.
 
     Raises NotXForm when any off-pattern entry of a state exceeds the X
-    budget.
+    budget. `evaluate_measures` also reports the two branches.
     """
-    return _x_concurrence(x_components(_x_form_states(rho)))
+    return per_state(_x_concurrence(x_components(_x_form_states(rho)))[0])
 
 
-def _x_concurrence(c: XComponents) -> XConcurrence:
-    """Concurrence and both branches from the X components of states that passed the X guard."""
+def _x_concurrence(c: XComponents):
+    """(concurrence, c1_branch, c2_branch) from the X components of guarded states."""
     c1 = magnitude(c.rho23) - np.sqrt(np.maximum(c.rho11, 0.0) * np.maximum(c.rho44, 0.0))
     c2 = magnitude(c.rho14) - np.sqrt(np.maximum(c.rho22, 0.0) * np.maximum(c.rho33, 0.0))
-    conc = 2.0 * np.maximum(np.maximum(c1, c2), 0.0)
-    return XConcurrence(per_state(conc), per_state(c1), per_state(c2))
+    return 2.0 * np.maximum(np.maximum(c1, c2), 0.0), c1, c2
 
 
 @dataclass(frozen=True)
@@ -206,11 +192,12 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
 def _hermitian_states(rho) -> np.ndarray:
     """rho as 4x4 states, after the Hermiticity guard on every state.
 
-    The guard reads any square matrices or stack of them, so a
+    The guard reads any finite square matrices or stack of them, so a
     non-Hermitian input is named as such before `as_states` checks its size.
+    Non-finite input skips it, for `as_states` to reject.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.ndim in (2, 3) and r.shape[-1] == r.shape[-2]:
+    if r.ndim in (2, 3) and r.shape[-1] == r.shape[-2] and np.isfinite(r).all():
         bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
         if bad:
             raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
@@ -417,8 +404,12 @@ def lqfi_bruteforce(rho) -> float | np.ndarray:
 class MeasureSet:
     """All scalar measures of one state (floats) or of a stack (arrays).
 
-    `min_eig` is the smallest eigenvalue of the state, from the same block
-    spectra as `lqfi`.
+    concurrence = 2 * max(c1_branch, c2_branch, 0), with the branches
+    c1_branch = |rho23| - sqrt(rho11 rho44) (inner coherence channel) and
+    c2_branch = |rho14| - sqrt(rho22 rho33) (outer coherence channel);
+    they may be negative. `min_eig` is the smallest eigenvalue of the
+    state, from the same block spectra as `lqfi`; `dynamics.min_eigenvalue`
+    is its generic cross-check.
     """
 
     concurrence: float
@@ -441,11 +432,11 @@ def evaluate_measures(rho) -> MeasureSet:
     r = _x_form_states(_hermitian_states(rho))
     c = x_components(r)
     outer, inner = _x_blocks(c)
-    xc = _x_concurrence(c)
+    conc, c1, c2 = _x_concurrence(c)
     return MeasureSet(
-        concurrence=xc.concurrence,
-        c1_branch=xc.c1_branch,
-        c2_branch=xc.c2_branch,
+        concurrence=per_state(conc),
+        c1_branch=per_state(c1),
+        c2_branch=per_state(c2),
         l1_coherence=l1_coherence(r),
         lqfi=per_state(_lqfi_from_blocks(outer, inner)),
         min_eig=per_state(np.minimum(outer.low, inner.low)),

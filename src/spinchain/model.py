@@ -35,7 +35,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 # lowering operator: |0> (up) -> |1> (down)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 _ALLOWED_MU = (-1, 0, 1)
 

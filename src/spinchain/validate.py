@@ -26,6 +26,7 @@ from .dynamics import (
     evolve,
     lindblad_rhs,
     max_abs,
+    min_eigenvalue,
     record_from_state,
     steady_state_limit,
     x_leakage,
@@ -70,9 +71,9 @@ def analytic_vs_numeric(points: Sequence[ModelParams], runs, dt: float) -> Check
 
 def conservation(runs) -> Check:
     """Worst trace deviation, smallest eigenvalue and X leakage over every sample."""
-    records = [record_from_state(times, states) for times, states in runs]
-    worst_tr = max(float(np.max(rec.trace_dev)) for rec in records)
-    worst_eig = min(float(np.min(rec.min_eig)) for rec in records)
+    worst_tr = max(float(np.max(record_from_state(times, states).trace_dev))
+                   for times, states in runs)
+    worst_eig = min(float(np.min(min_eigenvalue(states))) for _, states in runs)
     worst_leak = max(float(np.max(x_leakage(states))) for _, states in runs)
     ok = worst_tr <= 1e-8 and worst_eig >= -1e-9 and worst_leak <= 1e-9
     return Check("conservation", _verdict(ok),
@@ -84,7 +85,7 @@ def conservation(runs) -> Check:
 def concurrence_routes(states) -> Check:
     """X-state concurrence against the generic spin-flip route, one call each on the stack."""
     stack = np.asarray(states)
-    worst = float(np.max(np.abs(concurrence_x(stack).concurrence - concurrence_generic(stack))))
+    worst = float(np.max(np.abs(concurrence_x(stack) - concurrence_generic(stack))))
     return Check("concurrence x-vs-generic", _verdict(worst <= 1e-9),
                  f"n = {len(states)}  max|diff| = {worst:.3e}  tol = 1e-09",
                  {"n": len(states), "max_diff": worst})

@@ -12,7 +12,9 @@ import spinchain
 from spinchain import (
     BasisRotation,
     IntegratorConfig,
+    MeasureSet,
     ModelParams,
+    TimeSeriesRecord,
     evaluate_measures,
     evolve,
     initial_state,
@@ -34,7 +36,7 @@ from spinchain.cli import (
     scenario_rows,
     write_csv,
 )
-from spinchain.dynamics import magnitude
+from spinchain.dynamics import magnitude, min_eigenvalue
 
 BASE_CONF = """\
 # reference scenario
@@ -285,9 +287,20 @@ def _per_state_rows(cfg):
             rec.t, rec.rho11, rec.rho22, rec.rho33, rec.rho44, rec.abs_rho14, rec.abs_rho23,
             ms.concurrence, ms.c1_branch, ms.c2_branch, ms.l1_coherence,
             ms.l1_coherence if rotation is None else l1_coherence(rho, rotation),
-            ms.lqfi, rec.trace_dev, rec.min_eig,
+            ms.lqfi, rec.trace_dev, ms.min_eig,
         ])
+        # the X-block smallest eigenvalue against the generic eigvalsh one
+        assert abs(ms.min_eig - min_eigenvalue(rho)) <= 1e-13
     return np.array(rows)
+
+
+def test_record_and_measure_set_own_the_csv_columns_disjointly():
+    # each column has one owner; l1_rotated is the one the CLI adds itself
+    record = {f.name for f in fields(TimeSeriesRecord)}
+    measures = {f.name for f in fields(MeasureSet)}
+    assert record.isdisjoint(measures)
+    assert len(set(CSV_COLUMNS)) == len(CSV_COLUMNS)
+    assert record | measures | {"l1_rotated"} == set(CSV_COLUMNS)
 
 
 @pytest.mark.parametrize("extra", [
@@ -391,6 +404,18 @@ def test_sweep_blocks_are_the_bytes_of_single_runs(conf, tmp_path, sweep):
 ])
 def test_sweep_rejects_bad_grids(conf, extra):
     assert main(["sweep", "--config", str(conf)] + extra) == 2
+
+
+def test_sweep_rejects_mu_in_sector_mixture(conf, tmp_path, capsys):
+    # the mixture sets mu itself, so every point would be the same mixture
+    grid = ["sweep", "--config", str(conf), "--param", "mu", "--from", "-1", "--to", "1",
+            "--count", "3", "--out", str(tmp_path / "sw.csv")]
+    assert main(grid + ["--mode", "sector-mixture"]) == 2
+    assert "sweep mu in single-sector mode" in capsys.readouterr().err
+    assert not (tmp_path / "sw.csv").exists()
+    assert main(grid) == 0
+    values = [line.split(",", 1)[0] for line in (tmp_path / "sw.csv").read_text().splitlines()[1:]]
+    assert sorted(set(values)) == ["-1", "0", "1"]
 
 
 # --- events -------------------------------------------------------------------

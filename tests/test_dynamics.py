@@ -33,6 +33,7 @@ from spinchain.dynamics import (
     _rk4_step,
     hermiticity_defect,
     max_abs,
+    min_eigenvalue,
     x_components,
 )
 
@@ -116,6 +117,10 @@ def test_validate_density_rejections(rng):
         evolve(np.eye(2) / 2.0, ModelParams())
     nan_entry = rho.copy()
     nan_entry[0, 3] = nan_entry[3, 0] = math.nan
+    inf_entry = rho.copy()
+    inf_entry[1, 1] = math.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        validate_density(inf_entry)
     with pytest.raises(ValueError, match="NaN or Inf"):
         evolve(nan_entry, ModelParams())
     with pytest.raises(ValueError, match="NaN or Inf"):
@@ -199,7 +204,7 @@ def test_evolution_invariants(rng):
     for t, rho in zip(*evolve(initial_state(p.theta), p, cfg)):
         rec = record_from_state(t, rho)
         assert rec.trace_dev < 1e-9
-        assert rec.min_eig > -1e-9
+        assert min_eigenvalue(rho) > -1e-9
         assert x_leakage(rho) == 0.0
 
 
@@ -530,7 +535,7 @@ def test_record_from_state_fields():
     assert rec.abs_rho23 == pytest.approx(0.5)
     assert rec.abs_rho14 == 0.0
     assert rec.trace_dev < 1e-15
-    assert rec.min_eig == pytest.approx(0.0, abs=1e-12)
+    assert min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("draw", [random_x_state, random_density])
@@ -540,10 +545,13 @@ def test_stacked_records_match_single_state_calls(draw, rng):
     rec = record_from_state(times, stack)
     leak = x_leakage(stack)
     defect = hermiticity_defect(stack)
-    assert leak.shape == defect.shape == (50,)
+    low = min_eigenvalue(stack)
+    assert leak.shape == defect.shape == low.shape == (50,)
     for k, rho in enumerate(stack):
         one = record_from_state(times[k], rho)
-        assert isinstance(one.min_eig, float)
+        assert isinstance(one.trace_dev, float)
+        assert isinstance(min_eigenvalue(rho), float)
+        assert abs(low[k] - min_eigenvalue(rho)) <= 1e-15
         for field in TimeSeriesRecord.__dataclass_fields__:
             assert abs(getattr(rec, field)[k] - getattr(one, field)) <= 1e-15
         assert leak[k] == x_leakage(rho)

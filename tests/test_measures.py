@@ -25,7 +25,7 @@ from spinchain import (
     record_from_state,
     x_leakage,
 )
-from spinchain.dynamics import X_FORM_TOL, max_abs, x_components
+from spinchain.dynamics import X_FORM_TOL, max_abs, min_eigenvalue, x_components
 from spinchain.measures import EIG_CLAMP, NotPositive, _two_qubit_rotation
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -51,10 +51,11 @@ def werner_state(p):
 def test_concurrence_anchors():
     assert concurrence_generic(bell_state()) == pytest.approx(1.0, abs=1e-12)
     assert concurrence_generic(product_state()) == pytest.approx(0.0, abs=1e-12)
-    xc = concurrence_x(bell_state())
-    assert xc.concurrence == pytest.approx(1.0, abs=1e-12)
-    assert xc.c1_branch == pytest.approx(0.5, abs=1e-12)
-    assert xc.c2_branch == pytest.approx(-0.5, abs=1e-12)
+    assert concurrence_x(bell_state()) == pytest.approx(1.0, abs=1e-12)
+    ms = evaluate_measures(bell_state())
+    assert ms.concurrence == pytest.approx(1.0, abs=1e-12)
+    assert ms.c1_branch == pytest.approx(0.5, abs=1e-12)
+    assert ms.c2_branch == pytest.approx(-0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
@@ -63,7 +64,7 @@ def test_concurrence_werner_family(p):
     expected = max(0.0, (3.0 * p - 1.0) / 2.0)
     w = werner_state(p)
     assert concurrence_generic(w) == pytest.approx(expected, abs=1e-12)
-    assert concurrence_x(w).concurrence == pytest.approx(expected, abs=1e-12)
+    assert concurrence_x(w) == pytest.approx(expected, abs=1e-12)
 
 
 def test_concurrence_pure_state_formula(rng):
@@ -80,7 +81,7 @@ def test_concurrence_routes_agree_on_x_states(rng):
     worst = 0.0
     for _ in range(300):
         rho = random_x_state(rng)
-        worst = max(worst, abs(concurrence_x(rho).concurrence - concurrence_generic(rho)))
+        worst = max(worst, abs(concurrence_x(rho) - concurrence_generic(rho)))
     assert worst < 1e-9
 
 
@@ -242,10 +243,13 @@ def test_evaluate_measures_bundles_routes(rng):
     for _ in range(10):
         rho = random_x_state(rng)
         ms = evaluate_measures(rho)
-        xc = concurrence_x(rho)
-        assert ms.concurrence == xc.concurrence
-        assert ms.c1_branch == xc.c1_branch
-        assert ms.c2_branch == xc.c2_branch
+        assert ms.concurrence == concurrence_x(rho)
+        # the branches of the X-state formula, from the entries themselves
+        c1 = abs(rho[1, 2]) - math.sqrt(rho[0, 0].real * rho[3, 3].real)
+        c2 = abs(rho[0, 3]) - math.sqrt(rho[1, 1].real * rho[2, 2].real)
+        assert ms.c1_branch == pytest.approx(c1, abs=1e-15)
+        assert ms.c2_branch == pytest.approx(c2, abs=1e-15)
+        assert ms.concurrence == 2.0 * max(ms.c1_branch, ms.c2_branch, 0.0)
         assert ms.l1_coherence == l1_coherence(rho)
         assert ms.lqfi == lqfi(rho)
 
@@ -274,13 +278,13 @@ def test_stacked_measures_match_single_state_calls(draw, rng):
 
 def test_stacked_x_measures_match_single_state_calls(rng):
     stack = np.array([random_x_state(rng) for _ in range(50)])
-    xc = concurrence_x(stack)
+    conc = concurrence_x(stack)
     ms = evaluate_measures(stack)
+    assert isinstance(conc, np.ndarray) and conc.shape == (50,)
     for k, rho in enumerate(stack):
         one = concurrence_x(rho)
-        assert isinstance(one.concurrence, float)
-        for field in one._fields:
-            assert abs(getattr(xc, field)[k] - getattr(one, field)) <= 1e-15
+        assert isinstance(one, float)
+        assert abs(conc[k] - one) <= 1e-15
         single = evaluate_measures(rho)
         for field in ("concurrence", "c1_branch", "c2_branch", "l1_coherence", "lqfi"):
             assert abs(getattr(ms, field)[k] - getattr(single, field)) <= 1e-15
@@ -290,8 +294,8 @@ def test_stacked_x_measures_match_single_state_calls(rng):
 def test_evaluate_measures_decomposes_each_state_once(rng, monkeypatch):
     stack = np.array([random_x_state(rng) for _ in range(50)])
     expected_lqfi = lqfi(stack)
-    # the block spectra give min_eig; the Hermitian-part eigvalsh agrees to rounding
-    min_eig = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+    # the block spectra give min_eig; the generic eigvalsh agrees to rounding
+    min_eig = min_eigenvalue(stack)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -504,7 +508,7 @@ def test_stacked_generic_guards_name_the_first_bad_state(route, rng):
 
 SHAPED_ROUTES = [lqfi, lqfi_paper_variant, concurrence_x, evaluate_measures, l1_coherence,
                  concurrence_generic, lqfi_bruteforce, partial(qfi, h=_PROBE),
-                 x_leakage, x_components, partial(record_from_state, 0.0)]
+                 x_leakage, x_components, partial(record_from_state, 0.0), min_eigenvalue]
 
 
 @pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.ones((4, 3)) / 4.0, np.ones((2, 3, 4, 4))],
@@ -514,6 +518,19 @@ def test_routes_name_a_wrong_shape(route, rho):
     with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, rho.shape))}\)$") as err:
         route(rho)
     assert err.type is ValueError
+
+
+@pytest.mark.parametrize("entry", [(0, 3, math.nan), (1, 1, math.inf)], ids=["nan-rho14", "inf-rho22"])
+@pytest.mark.parametrize("route", SHAPED_ROUTES, ids=_route_id)
+def test_routes_reject_non_finite_entries(route, entry, rng):
+    # named by the shared input check before any guard or formula reads the entry
+    row, col, value = entry
+    stack = np.array([random_x_state(rng) for _ in range(5)])
+    stack[3, row, col] = value
+    for states in (stack, stack[3]):
+        with pytest.raises(ValueError, match="NaN or Inf") as err:
+            route(states)
+        assert err.type is ValueError
 
 
 # --- which qubit the LQFI probes ------------------------------------------------

@@ -14,7 +14,6 @@ PUBLIC = [
     "SingularScale",
     "StepUnstable",
     "TimeSeriesRecord",
-    "XConcurrence",
     "analytic_state",
     "concurrence_generic",
     "concurrence_x",
