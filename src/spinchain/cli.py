@@ -9,12 +9,12 @@ endings, SVG charts with fixed formatting. Exit codes: 0 ok, 1 validation
 failure, 2 config error, 3 numeric instability.
 
 `scenario_rows` owns the run layout of an `evolve` or `sweep` run: sweep
-point x J0 = 0 reference x mixture sector. It integrates every run in one
-`evolve` call and measures each (point, reference) entry into one
-preallocated table; the CSV is streamed from that table in blocks of rows
-and the plot drawn from it in memory. When a run is unstable, the entries
-before it are integrated again and measured first, so that the failure
-reported is the one a point-by-point run meets first.
+point x J0 = 0 reference x mixture sector. It takes the (point, reference)
+entries in output order, integrates each entry's runs (one, or the three
+mixture sectors) in one `evolve` call, measures them into one preallocated
+table and drops their states, so a run holds one entry's trajectories at a
+time and fails where a point-by-point run fails first. The CSV is streamed
+from that table in blocks of rows and the plot drawn from it in memory.
 """
 
 from __future__ import annotations
@@ -164,63 +164,53 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     then stacks one block of rows per point, in order, behind a leading
     ``sweep_value`` column.
 
-    Every run (point x reference x sector) is integrated in one `evolve`
-    call, then each (point, reference) entry is measured into the table.
-    The guards fire as in a point-by-point run: when a run is unstable, the
-    whole entries before it are integrated again and measured first, so a
-    positivity loss among them is still the one reported. RK4 does not keep
-    positivity, so a coarse but stable dt can leave a recorded state with
-    an eigenvalue below -EIG_CLAMP; that is an integration failure too. A
-    StepUnstable carries the `index` of the failing point.
+    The (point, reference) entries are taken in output order. Each entry's
+    runs, one or the three mixture sectors, are integrated in one `evolve`
+    call and measured into the table before the next entry is integrated,
+    so memory holds one entry's states besides the table, and the first
+    failure raised is the one a point-by-point run meets first. RK4 does
+    not keep positivity, so a coarse but stable dt can leave a recorded
+    state with an eigenvalue below -EIG_CLAMP; that is an integration
+    failure too. A StepUnstable carries the `index` of the failing point.
     """
     values, points = zip(*sweep) if sweep else ((), (cfg.params,))
     lead = 1 if sweep else 0
-    header = ["sweep_value"] * lead + list(CSV_COLUMNS)
-    refs = (False,)
-    if cfg.compare_j0_zero:
-        header += [name + "_ref" for name in CSV_COLUMNS[1:]]
-        refs = (False, True)
+    refs = (False, True) if cfg.compare_j0_zero else (False,)
+    header = (["sweep_value"] * lead + CSV_COLUMNS
+              + [name + "_ref" for name in CSV_COLUMNS[1:] if cfg.compare_j0_zero])
     # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
     mus = (None,) if cfg.mode == "single-sector" else (1, 0, -1)
-    entries = [replace(p, J0=0.0) if ref else p for p in points for ref in refs]
-    runs = [p if mu is None else replace(p, mu=mu) for p in entries for mu in mus]
     icfg, rotation = cfg.integrator(), cfg.rotation()
-    unstable = None
-    try:
-        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
-    except StepUnstable as exc:
-        unstable, runs = exc, runs[:exc.index - exc.index % len(mus)]
-        exc.index //= len(mus) * len(refs)
-        if not runs:
-            raise
-        times, states = evolve(np.stack([initial_state(p.theta) for p in runs]), runs, icfg)
-    table = np.empty((len(points) * len(times), len(header)))
-    for first in range(0, len(runs), len(mus)):
-        point, is_ref = divmod(first // len(mus), len(refs))
-        if len(mus) == 1:
-            rho = states[first]
-        else:
-            plus, zero, minus = states[first:first + 3]
-            rho = 0.25 * plus + 0.5 * zero + 0.25 * minus
-        try:
-            ms = evaluate_measures(rho)
-        except NotPositive as exc:
-            raise StepUnstable(
-                f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
-                f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
-                point) from exc
-        l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
-        columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
-        rows = np.column_stack([columns[name] for name in CSV_COLUMNS])
-        block = table[point * len(times):(point + 1) * len(times)]
-        if is_ref:
-            block[:, lead + len(CSV_COLUMNS):] = rows[:, 1:]
-        else:
-            block[:, lead:lead + len(CSV_COLUMNS)] = rows
-        if sweep:
-            block[:, 0] = values[point]
-    if unstable is not None:
-        raise unstable
+    table = None
+    for point, p in enumerate(points):
+        for is_ref in refs:
+            entry = replace(p, J0=0.0) if is_ref else p
+            runs = [entry if mu is None else replace(entry, mu=mu) for mu in mus]
+            try:
+                times, states = evolve(initial_state(entry.theta), runs, icfg)
+                if table is None:
+                    table = np.empty((len(points) * len(times), len(header)))
+                rho = states[0] if len(mus) == 1 else (
+                    0.25 * states[0] + 0.5 * states[1] + 0.25 * states[2])
+                ms = evaluate_measures(rho)
+            except StepUnstable as exc:
+                exc.index = point
+                raise
+            except NotPositive as exc:
+                raise StepUnstable(
+                    f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
+                    f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
+                    point) from exc
+            l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
+            columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
+            del states, rho  # freed before the next entry is integrated
+            # a reference entry fills the _ref columns, which repeat all but t
+            names = CSV_COLUMNS[1:] if is_ref else CSV_COLUMNS
+            first = lead + len(CSV_COLUMNS) if is_ref else lead
+            block = table[point * len(times):(point + 1) * len(times)]
+            block[:, first:first + len(names)] = np.column_stack([columns[n] for n in names])
+            if sweep:
+                block[:, 0] = values[point]
     return header, table
 
 

@@ -42,7 +42,7 @@ The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`,
 `min_eigenvalue`) take one 4x4 state or a (T, 4, 4) stack of states and
 return floats for one state and length-T arrays for a stack, so a whole
 trajectory is reduced in one call. They and every measure route read their
-input through `as_states`, which raises a ValueError naming the shape of
+input through `as_states` once, which raises a ValueError naming the shape of
 anything else, or naming NaN or Inf entries. `hermiticity_defect` takes any
 square matrix or stack of them.
 """
@@ -169,8 +169,11 @@ def magnitude(z):
 
 
 def x_components(rho) -> XComponents:
-    r = as_states(rho)
-    # [()] turns the 0-d results of one state into numpy scalars
+    return _x_components(as_states(rho))
+
+
+def _x_components(r: np.ndarray) -> XComponents:
+    # r has passed as_states; [()] turns the 0-d results of one state into numpy scalars
     return XComponents(
         rho11=r[..., 0, 0].real[()],
         rho22=r[..., 1, 1].real[()],
@@ -183,8 +186,11 @@ def x_components(rho) -> XComponents:
 
 def x_leakage(rho) -> float | np.ndarray:
     """Largest entry magnitude outside the X sparsity pattern, per state."""
-    r = as_states(rho)
-    return per_state(np.max(np.abs(r[..., _OFF_ROWS, _OFF_COLS]), axis=-1))
+    return per_state(_x_leakage(as_states(rho)))
+
+
+def _x_leakage(r: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(r[..., _OFF_ROWS, _OFF_COLS]), axis=-1)
 
 
 def max_abs(a) -> float:
@@ -398,12 +404,12 @@ def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig |
     stride = _keep_hermitian(np.linalg.matrix_power(step, every))
     last = _keep_hermitian(last)
 
-    times = [k * dt for k in range(0, n_steps + 1, every)]
+    times = np.arange(0, n_steps + 1, every) * dt
     ends_on_stride = not (n_steps % every or tail)
     if not ends_on_stride:
-        times.append(float(cfg.t_max))
+        times = np.append(times, cfg.t_max)
     elif n_steps:
-        times[-1] = float(cfg.t_max)
+        times[-1] = cfg.t_max
     states = np.empty((len(points), len(times), 16), dtype=complex)
     states[:, 0] = rho.reshape(-1, 16)
     trace = np.trace(rho, axis1=-2, axis2=-1)
@@ -414,7 +420,7 @@ def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig |
     if not ends_on_stride:
         _fill(states, n_strides, last[:, None], trace)
     states = states.reshape(len(points), len(times), 4, 4)
-    return np.array(times), states[0] if isinstance(p, ModelParams) else states
+    return times, states[0] if isinstance(p, ModelParams) else states
 
 
 def _closed_form_scales(p: ModelParams) -> DerivedScales:
@@ -545,11 +551,14 @@ class TimeSeriesRecord:
 
 
 def record_from_state(t, rho) -> TimeSeriesRecord:
-    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T]."""
+    """The record of one state at time t, or of a (T, 4, 4) stack at times t[T], one per state."""
     r = as_states(rho)
-    c = x_components(r)
+    t = np.asarray(t, dtype=float)
+    if t.shape != r.shape[:-2]:
+        raise ValueError(f"times of shape {t.shape} for states of shape {r.shape}")
+    c = _x_components(r)
     return TimeSeriesRecord(
-        t=per_state(np.asarray(t, dtype=float)),
+        t=per_state(t),
         rho11=per_state(c.rho11),
         rho22=per_state(c.rho22),
         rho33=per_state(c.rho33),

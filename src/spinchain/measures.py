@@ -43,9 +43,9 @@ branches, and the block spectra give `lqfi` and the `min_eig` it reports.
 The generic routes (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take
 the same two shapes and run one eigh per state: `lqfi_bruteforce` reuses
 it for all six polarization generators. Every route reads its input
-through `dynamics.as_states`, which raises a ValueError naming the shape of
-an input that is neither 4x4 nor a stack of 4x4 states, or naming NaN or
-Inf entries.
+through `dynamics.as_states` once, which raises a ValueError naming the
+shape of an input that is neither 4x4 nor a stack of 4x4 states, or naming
+NaN or Inf entries; the steps inside a route take the checked array.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ from .dynamics import (
     hermiticity_defect,
     magnitude,
     per_state,
-    x_components,
-    x_leakage,
+    _x_components,
+    _x_leakage,
 )
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -139,7 +139,7 @@ def concurrence_x(rho) -> float | np.ndarray:
     Raises NotXForm when any off-pattern entry of a state exceeds the X
     budget. `evaluate_measures` also reports the two branches.
     """
-    return per_state(_x_concurrence(x_components(_x_form_states(rho)))[0])
+    return per_state(_x_concurrence(_x_components(_x_form_states(as_states(rho))))[0])
 
 
 def _x_concurrence(c: XComponents):
@@ -179,41 +179,47 @@ def l1_coherence(rho, rotation: BasisRotation | None = None) -> float | np.ndarr
 
     For an X state in the unrotated basis this is 2|rho23| + 2|rho14|.
     """
-    r = as_states(rho)
+    return per_state(_l1_coherence(as_states(rho), rotation))
+
+
+def _l1_coherence(r: np.ndarray, rotation: BasisRotation | None = None) -> np.ndarray:
+    """l1_coherence of states that passed `as_states`, as an array."""
     if rotation is not None:
         u = _two_qubit_rotation(rotation)
         r = u @ r @ u.conj().T
     a = np.abs(r)
     n = a.shape[-1]
     a[..., range(n), range(n)] = 0.0
-    return per_state(a.sum(axis=(-2, -1)))
+    return a.sum(axis=(-2, -1))
+
+
+def _hermitian(m, what: str) -> np.ndarray:
+    """The square matrices `m`, after the Hermiticity guard on each."""
+    bad = _first_above(hermiticity_defect(m), HERMITIAN_TOL)
+    if bad:
+        raise NotHermitian(f"{what} hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return m
 
 
 def _hermitian_states(rho) -> np.ndarray:
-    """rho as 4x4 states, after the Hermiticity guard on every state.
+    """rho as 4x4 states (`as_states`), after the Hermiticity guard on every state.
 
-    The guard reads any finite square matrices or stack of them, so a
-    non-Hermitian input is named as such before `as_states` checks its size.
-    Non-finite input skips it, for `as_states` to reject.
+    A finite square input of another size is guarded too, so it is named
+    non-Hermitian before `as_states` rejects its size; a 4x4 one is
+    scanned for NaN and Inf once, by `as_states`, before the guard.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.ndim in (2, 3) and r.shape[-1] == r.shape[-2] and np.isfinite(r).all():
-        bad = _first_above(hermiticity_defect(r), HERMITIAN_TOL)
-        if bad:
-            raise NotHermitian(f"state hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return as_states(r)
+    if r.ndim in (2, 3) and r.shape[-1] == r.shape[-2] != 4 and np.isfinite(r).all():
+        _hermitian(r, "state")
+    return _hermitian(as_states(r), "state")
 
 
-def _x_form_states(rho):
-    """rho as 4x4 states, after the X-pattern guard on every state.
-
-    ValueError names a wrong shape; NotXForm names the first offender.
-    """
-    rho = as_states(rho)
-    bad = _first_above(x_leakage(rho), X_FORM_TOL)
+def _x_form_states(r: np.ndarray) -> np.ndarray:
+    """Checked states r after the X-pattern guard; NotXForm names the first offender."""
+    bad = _first_above(_x_leakage(r), X_FORM_TOL)
     if bad:
         raise NotXForm(f"off-pattern magnitude {bad[1]:.3e} exceeds {X_FORM_TOL:.3e}")
-    return rho
+    return r
 
 
 def _check_positive(min_eig) -> None:
@@ -266,16 +272,8 @@ def qfi(rho, h) -> float | np.ndarray:
     state gives the variance of h; for h = sigma_r x I the value is at
     most 1. Raises NotHermitian for `h`, then the guards of `_guarded_eigh`.
     """
-    hs = _hermitian_generators(np.asarray(h, dtype=complex)[None])
+    hs = _hermitian(np.asarray(h, dtype=complex)[None], "generator")
     return per_state(_qfi_from_eigh(*_guarded_eigh(rho), hs)[..., 0])
-
-
-def _hermitian_generators(hs) -> np.ndarray:
-    """The stack of generators `hs`, after the Hermiticity guard on each."""
-    bad = _first_above(hermiticity_defect(hs), HERMITIAN_TOL)
-    if bad:
-        raise NotHermitian(f"generator hermiticity defect {bad[1]:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return hs
 
 
 def _guarded_eigh(rho):
@@ -343,7 +341,7 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = T
 
 def _guarded_blocks(rho) -> tuple[_XBlock, _XBlock]:
     """The block spectra of `rho`, after the Hermiticity, X-pattern and positivity guards."""
-    return _x_blocks(x_components(_x_form_states(_hermitian_states(rho))))
+    return _x_blocks(_x_components(_x_form_states(_hermitian_states(rho))))
 
 
 def lqfi(rho) -> float | np.ndarray:
@@ -391,7 +389,7 @@ def lqfi_bruteforce(rho) -> float | np.ndarray:
     the block route counts that eigenvalue as 0, which drops that much
     trace, and 1 - lambda_max(M) assumes unit trace.
     """
-    hs = _hermitian_generators(_PROBE_GENERATORS)
+    hs = _hermitian(_PROBE_GENERATORS, "generator")
     g = _qfi_from_eigh(*_guarded_eigh(rho), hs)
     f = np.zeros(g.shape[:-1] + (3, 3))
     f[..., range(3), range(3)] = g[..., :3]
@@ -430,14 +428,14 @@ def evaluate_measures(rho) -> MeasureSet:
     smaller of the two lower block eigenvalues. No eigh runs.
     """
     r = _x_form_states(_hermitian_states(rho))
-    c = x_components(r)
+    c = _x_components(r)
     outer, inner = _x_blocks(c)
     conc, c1, c2 = _x_concurrence(c)
     return MeasureSet(
         concurrence=per_state(conc),
         c1_branch=per_state(c1),
         c2_branch=per_state(c2),
-        l1_coherence=l1_coherence(r),
+        l1_coherence=per_state(_l1_coherence(r)),
         lqfi=per_state(_lqfi_from_blocks(outer, inner)),
         min_eig=per_state(np.minimum(outer.low, inner.low)),
     )

@@ -79,10 +79,11 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path, argv):
     missing = [name for name in wanted if name not in metrics]
     assert missing == []
     assert all(math.isfinite(metrics[name]) for name in wanted)
-    # one batched integration per run, counted from the `cfg` it was given
-    assert metrics["dynamics.evolve.calls"] == 1
-    assert metrics["dynamics.evolve.steps"] == 50
-    assert metrics["dynamics.evolve.samples"] == 51
+    # one integration per (point, reference) entry, counted from the `cfg` it was given
+    points = int(argv[argv.index("--count") + 1]) if "--count" in argv else 1
+    assert metrics["dynamics.evolve.calls"] == points
+    assert metrics["dynamics.evolve.steps"] == 50 * points
+    assert metrics["dynamics.evolve.samples"] == 51 * points
     assert metrics["cli.write_csv.bytes"] > 0
     if "--plot" in argv:
         assert metrics["plotting.svg_bytes"] > 0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -395,6 +396,33 @@ def test_sweep_blocks_are_the_bytes_of_single_runs(conf, tmp_path, sweep):
         got = lines[1 + k * block:1 + (k + 1) * block]
         assert [line.split(b",", 1) for line in got] == [
             [format_csv_value(value).encode("ascii"), line] for line in expected[1:]]
+
+
+def _sweep_peak(conf, count):
+    """tracemalloc peak of a mixture + reference sweep of `count` points, and its table."""
+    entries = parse_config_file(conf)
+    entries.update({"mode": "sector-mixture", "compare_j0_zero": True,
+                    "t_max": 2.0, "dt": 0.01, "record_every": 1})
+    cfg = scenario_from_entries(entries)
+    sweep = [(b, replace(cfg.params, b=b)) for b in np.linspace(1.0, 2.0, count)]
+    tracemalloc.start()
+    try:
+        _, table = scenario_rows(cfg, sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, table
+
+
+def test_sweep_peak_memory_grows_only_with_its_table(conf):
+    # the states of one entry (three sectors) are dropped before the next is integrated
+    _sweep_peak(conf, 2)  # warm every first-call cache outside the measured runs
+    small, small_table = _sweep_peak(conf, 2)
+    large, large_table = _sweep_peak(conf, 8)
+    samples = len(large_table) // 8
+    entry_states = 3 * samples * 16 * np.dtype(complex).itemsize
+    assert large - small <= large_table.nbytes - small_table.nbytes + entry_states
+
 
 @pytest.mark.parametrize("extra", [
     ["--param", "nope", "--from", "0", "--to", "1", "--count", "2"],

@@ -538,6 +538,18 @@ def test_record_from_state_fields():
     assert min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("t,count,message", [
+    (np.zeros(3), 5, r"times of shape \(3,\) for states of shape \(5, 4, 4\)"),
+    (np.zeros(3), None, r"times of shape \(3,\) for states of shape \(4, 4\)"),
+    (0.0, 5, r"times of shape \(\) for states of shape \(5, 4, 4\)"),
+], ids=["3-times-5-states", "3-times-1-state", "1-time-5-states"])
+def test_record_from_state_needs_one_time_per_state(t, count, message):
+    rho = initial_state(math.pi / 4)
+    states = rho if count is None else np.stack([rho] * count)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        record_from_state(t, states)
+
+
 @pytest.mark.parametrize("draw", [random_x_state, random_density])
 def test_stacked_records_match_single_state_calls(draw, rng):
     stack = np.array([draw(rng) for _ in range(50)])

@@ -533,6 +533,21 @@ def test_routes_reject_non_finite_entries(route, entry, rng):
         assert err.type is ValueError
 
 
+@pytest.mark.parametrize("route", SHAPED_ROUTES, ids=_route_id)
+def test_routes_scan_their_input_for_non_finite_entries_once(route, rng, monkeypatch):
+    # the steps inside a route take the array its one `as_states` call checked
+    isfinite, scans = np.isfinite, []
+
+    def counting_isfinite(a, *args, **kwargs):
+        scans.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    rho = random_x_state(rng)
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    route(rho)
+    assert scans == [(4, 4)]
+
+
 # --- which qubit the LQFI probes ------------------------------------------------
 
 # exchanges the two tensor factors: |01> <-> |10>
