@@ -23,8 +23,9 @@ cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
 p1 = ModelParams()                 # J0 = 1 by default
 p0 = replace(p1, J0=0.0)
 
-# both couplings stepped together from the same initial state
-times, (run1, run0) = evolve(initial_state(p1.theta), [p1, p0], cfg)
+# both couplings from the same initial state
+times, run1 = evolve(initial_state(p1.theta), p1, cfg)
+_, run0 = evolve(initial_state(p0.theta), p0, cfg)
 
 rows = []
 gap23 = 0.0

@@ -11,8 +11,6 @@ import csv
 import math
 from pathlib import Path
 
-import numpy as np
-
 from spinchain import IntegratorConfig, ModelParams, evaluate_measures, evolve, initial_state
 from spinchain.cli import detect_events
 from spinchain.plotting import emit_plot
@@ -22,13 +20,10 @@ OUT.mkdir(exist_ok=True)
 
 cfg = IntegratorConfig(dt=1e-3, t_max=20.0, record_every=10)
 
-thetas = (0.0, math.pi / 4)
-# both starts in one call: one parameter point and one initial state each
-times, runs = evolve(np.stack([initial_state(theta) for theta in thetas]),
-                     [ModelParams(theta=theta) for theta in thetas], cfg)
-
-columns = {"t": times.tolist()}
-for theta, label, states in zip(thetas, ("theta_0", "theta_pi4"), runs):
+columns = {}
+for theta, label in ((0.0, "theta_0"), (math.pi / 4, "theta_pi4")):
+    times, states = evolve(initial_state(theta), ModelParams(theta=theta), cfg)
+    columns.setdefault("t", times.tolist())
     values = evaluate_measures(states).concurrence.tolist()
     columns[label] = values
 

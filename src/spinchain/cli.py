@@ -10,11 +10,12 @@ failure, 2 config error, 3 numeric instability.
 
 `scenario_rows` owns the run layout of an `evolve` or `sweep` run: sweep
 point x J0 = 0 reference x mixture sector. It takes the (point, reference)
-entries in output order, integrates each entry's runs (one, or the three
-mixture sectors) in one `evolve` call, measures them into one preallocated
-table and drops their states, so a run holds one entry's trajectories at a
-time and fails where a point-by-point run fails first. The CSV is streamed
-from that table in blocks of rows and the plot drawn from it in memory.
+entries in output order, integrates each entry's run (one, or the three
+mixture sectors mixed as they come, one `evolve` call each), measures it
+into one preallocated table and drops its states, so a run holds one
+sector's trajectory and one mix at a time and fails where a point-by-point
+run fails first. The CSV is streamed from that table in blocks of rows
+and the plot drawn from it in memory.
 """
 
 from __future__ import annotations
@@ -165,13 +166,14 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     ``sweep_value`` column.
 
     The (point, reference) entries are taken in output order. Each entry's
-    runs, one or the three mixture sectors, are integrated in one `evolve`
-    call and measured into the table before the next entry is integrated,
-    so memory holds one entry's states besides the table, and the first
-    failure raised is the one a point-by-point run meets first. RK4 does
-    not keep positivity, so a coarse but stable dt can leave a recorded
-    state with an eigenvalue below -EIG_CLAMP; that is an integration
-    failure too. A StepUnstable carries the `index` of the failing point.
+    run, or each of its three mixture sectors added into the mix, is one
+    `evolve` call, measured into the table before the next entry is
+    integrated, so memory holds one sector's states and one mix besides the
+    table, and the first failure raised is the one a point-by-point run
+    meets first. RK4 does not keep positivity, so a coarse but stable dt
+    can leave a recorded state with an eigenvalue below -EIG_CLAMP; that is
+    an integration failure too. A StepUnstable carries the `index` of the
+    failing point.
     """
     values, points = zip(*sweep) if sweep else ((), (cfg.params,))
     lead = 1 if sweep else 0
@@ -179,19 +181,25 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     header = (["sweep_value"] * lead + CSV_COLUMNS
               + [name + "_ref" for name in CSV_COLUMNS[1:] if cfg.compare_j0_zero])
     # sector average weighting mu = 1, 0, -1 as 1:2:1; the mu = 0 sector is doubly degenerate
-    mus = (None,) if cfg.mode == "single-sector" else (1, 0, -1)
+    sectors = (((None, None),) if cfg.mode == "single-sector"
+               else ((1, 0.25), (0, 0.5), (-1, 0.25)))
     icfg, rotation = cfg.integrator(), cfg.rotation()
     table = None
     for point, p in enumerate(points):
         for is_ref in refs:
             entry = replace(p, J0=0.0) if is_ref else p
-            runs = [entry if mu is None else replace(entry, mu=mu) for mu in mus]
+            rho = None
             try:
-                times, states = evolve(initial_state(entry.theta), runs, icfg)
-                if table is None:
-                    table = np.empty((len(points) * len(times), len(header)))
-                rho = states[0] if len(mus) == 1 else (
-                    0.25 * states[0] + 0.5 * states[1] + 0.25 * states[2])
+                for mu, weight in sectors:
+                    times, states = evolve(initial_state(entry.theta),
+                                           entry if mu is None else replace(entry, mu=mu), icfg)
+                    if table is None:
+                        table = np.empty((len(points) * len(times), len(header)))
+                    if rho is None:
+                        rho = states if weight is None else weight * states
+                    else:
+                        rho += weight * states
+                    del states  # freed before the next sector is integrated
                 ms = evaluate_measures(rho)
             except StepUnstable as exc:
                 exc.index = point
@@ -203,7 +211,7 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                     point) from exc
             l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
             columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
-            del states, rho  # freed before the next entry is integrated
+            del rho  # freed before the next entry is integrated
             # a reference entry fills the _ref columns, which repeat all but t
             names = CSV_COLUMNS[1:] if is_ref else CSV_COLUMNS
             first = lead + len(CSV_COLUMNS) if is_ref else lead

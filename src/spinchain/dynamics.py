@@ -31,12 +31,9 @@ and Hermiticity, are kept exact in the propagation too, so that the
 rounding of the matrices applied block after block cannot accumulate in
 them.
 
-`evolve` returns arrays, (times[T], states[..., T, 4, 4]). Given a
-sequence of N parameter points (a sweep, the sectors of a mixture) it
-builds the (N, 16, 16) propagators, gates each for stability, and steps
-all N in one loop of stacked matrix-vector products. The block length does
-not depend on N, so each point's states are bit for bit those of its own
-call.
+`evolve` integrates one parameter point from one initial state and
+returns arrays, (times[T], states[T, 4, 4]). A sweep or a sector mixture
+calls it once per point.
 
 The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`,
 `min_eigenvalue`) take one 4x4 state or a (T, 4, 4) stack of states and
@@ -50,7 +47,6 @@ square matrix or stack of them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,8 +84,8 @@ class StepUnstable(RuntimeError):
 
     Raised by `evolve` before it integrates, when the amplification factor
     (spectral radius) of a step matrix exceeds 1 or is not finite. `index`
-    is the position of the failing point among those integrated together
-    (0 for a single one).
+    is the sweep point the failure belongs to: `evolve` leaves it 0 and
+    `cli.scenario_rows` sets it.
     """
 
     def __init__(self, message: str, index: int = 0):
@@ -215,8 +211,11 @@ def hermiticity_defect(a) -> float | np.ndarray:
 
 def min_eigenvalue(states) -> float | np.ndarray:
     """Smallest eigenvalue of each state's Hermitian part, the generic check of min_eig."""
-    r = as_states(states)
-    return per_state(np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0])
+    return per_state(_min_eigenvalue(as_states(states)))
+
+
+def _min_eigenvalue(r: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
 def validate_density(rho) -> np.ndarray:
@@ -234,7 +233,7 @@ def validate_density(rho) -> np.ndarray:
     tr_dev = abs(complex(np.trace(r)) - 1.0)
     if tr_dev > _TRACE_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
-    min_eig = min_eigenvalue(r)
+    min_eig = _min_eigenvalue(r)
     if min_eig < -EIG_CLAMP:
         raise ValueError(f"density matrix eigenvalue {min_eig:.3e} below {-EIG_CLAMP:.3e}")
     return r
@@ -278,34 +277,19 @@ def _liouvillian(h, pre) -> np.ndarray:
 
 
 def _rk4_step(gen: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of length h for v' = gen v, as a matrix (per matrix of a stack)."""
+    """One classical RK4 step of length h for v' = gen v, as a matrix."""
     a = h * gen
     eye = np.eye(a.shape[-1], dtype=complex)
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-def _spectral_radii(steps: np.ndarray) -> np.ndarray:
-    """Spectral radius of each matrix of a stack; inf where one is not finite."""
-    radii = np.full(len(steps), math.inf)
-    finite = np.all(np.isfinite(steps), axis=(-2, -1))
-    if finite.any():
-        radii[finite] = np.max(np.abs(np.linalg.eigvals(steps[finite])), axis=-1)
-    return radii
-
-
-def _check_stable(checks: list[tuple[np.ndarray, float]], cfg: IntegratorConfig) -> None:
-    """Raise StepUnstable for the first point with a step matrix of radius above 1.
-
-    `checks` holds (steps[N, 16, 16], h) pairs in the order one point applies them.
-    """
-    radii = [_spectral_radii(steps) for steps, _ in checks]
-    for index, point_radii in enumerate(zip(*radii)):
-        for (_, h), radius in zip(checks, point_radii):
-            if not radius <= 1.0 + _RADIUS_TOL:
-                raise StepUnstable(
-                    f"RK4 amplification factor {radius:.6g} > 1 for a step of {h:g} "
-                    f"(dt={cfg.dt:g}): the run over t=0..{cfg.t_max:g} would diverge; reduce dt",
-                    index)
+def _check_stable(step: np.ndarray, h: float, cfg: IntegratorConfig) -> None:
+    """Raise StepUnstable when a step of length h has spectral radius above 1 or not finite."""
+    radius = np.max(np.abs(np.linalg.eigvals(step))) if np.isfinite(step).all() else math.inf
+    if not radius <= 1.0 + _RADIUS_TOL:
+        raise StepUnstable(
+            f"RK4 amplification factor {radius:.6g} > 1 for a step of {h:g} "
+            f"(dt={cfg.dt:g}): the run over t=0..{cfg.t_max:g} would diverge; reduce dt")
 
 
 def _keep_hermitian(m: np.ndarray) -> np.ndarray:
@@ -314,28 +298,28 @@ def _keep_hermitian(m: np.ndarray) -> np.ndarray:
 
 
 def _stride_powers(stride: np.ndarray, count: int) -> np.ndarray:
-    """The powers S, S^2, ..., S^count of each point's stride matrix S, (N, count, 16, 16).
+    """The powers S, S^2, ..., S^count of the stride matrix S, (count, 16, 16).
 
     Each power is kept Hermiticity-preserving like S itself.
     """
-    powers = np.empty((len(stride), count, 16, 16), dtype=complex)
-    powers[:, :1] = stride[:, None]
+    powers = np.empty((count, 16, 16), dtype=complex)
+    powers[:1] = stride
     for j in range(1, count):
-        powers[:, j] = _keep_hermitian(stride @ powers[:, j - 1])
+        powers[j] = _keep_hermitian(stride @ powers[j - 1])
     return powers
 
 
-def _fill(states: np.ndarray, k: int, maps: np.ndarray, trace: np.ndarray) -> None:
-    """Fill the samples after states[:, k] with the (N, b, 16, 16) maps applied to it, in one matmul.
+def _fill(states: np.ndarray, k: int, maps: np.ndarray, trace: complex) -> None:
+    """Fill the samples after states[k] with the (b, 16, 16) maps applied to it, in one matmul.
 
-    Sample k+j is maps[:, j-1] @ states[:, k], with rho44 then set from the
+    Sample k+j is maps[j-1] @ states[k], with rho44 then set from the
     trace, which every RK4 step keeps exactly. The same rounded matrices are
     applied block after block, so their rounding would otherwise move the
     trace by the same amount each time.
     """
-    block = states[:, k + 1:k + 1 + maps.shape[1]]
-    np.matmul(maps, states[:, k, None, :, None], out=block[..., None])
-    block[..., 15] = trace[:, None] - block[..., 0] - block[..., 5] - block[..., 10]
+    block = states[k + 1:k + 1 + len(maps)]
+    np.matmul(maps, states[k, :, None], out=block[..., None])
+    block[:, 15] = trace - block[:, 0] - block[:, 5] - block[:, 10]
 
 
 def _step_split(t_max: float, dt: float) -> tuple[int, float]:
@@ -348,58 +332,39 @@ def _step_split(t_max: float, dt: float) -> tuple[int, float]:
     return n_steps, t_max - n_steps * dt
 
 
-def _initial_states(rho0, n: int) -> np.ndarray:
-    """The validated (n, 4, 4) initial states: one state shared, or one per point."""
-    r = np.asarray(rho0, dtype=complex)
-    if r.ndim == 2:
-        return np.broadcast_to(validate_density(r), (n, 4, 4))
-    if r.shape[0] != n:
-        raise ValueError(f"{r.shape[0]} initial states for {n} parameter points")
-    return np.stack([validate_density(one) for one in r])
-
-
-def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig | None = None
+def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the master equation from `rho0` with fixed-step RK4.
+    """Integrate the master equation of point `p` from the 4x4 state `rho0` with fixed-step RK4.
 
     The RK4 step is applied as a precomputed 16x16 propagator. Returns
-    (times[T], states) sampled at t = 0, every `cfg.record_every` steps,
-    and t = `cfg.t_max`. When t_max is not a whole number of steps, one
-    exact RK4 step of the remaining length ends the run at t_max.
+    (times[T], states[T, 4, 4]) sampled at t = 0, every `cfg.record_every`
+    steps, and t = `cfg.t_max`. When t_max is not a whole number of steps,
+    one exact RK4 step of the remaining length ends the run at t_max.
 
     The samples are filled 32 at a time, each block in one matmul of the
     stacked stride powers S, S^2, ..., S^32 with the block's first state.
     They are within 1e-13 of repeated single stride steps, not bit for
     bit equal to them.
 
-    `p` is one ModelParams, giving states[T, 4, 4], or a sequence of N,
-    giving states[N, T, 4, 4]: the N propagators are built and stepped
-    together, and each point's states are bit for bit those of its own
-    call. `rho0` is one 4x4 state, shared by every point, or an (N, 4, 4)
-    stack with one per point.
-
     Raises StepUnstable before integrating when the spectral radius of a
-    step matrix that the run applies exceeds 1 + 1e-12 or is not finite;
-    its `index` is the first such point.
+    step matrix that the run applies exceeds 1 + 1e-12 or is not finite.
     """
+    if not isinstance(p, ModelParams):
+        raise TypeError(f"evolve integrates one ModelParams, got {type(p).__name__}; "
+                        "call it once per point")
     if cfg is None:
         cfg = IntegratorConfig()
-    points = [p] if isinstance(p, ModelParams) else list(p)
-    if not points:
-        raise ValueError("evolve needs at least one ModelParams")
-    rho = _initial_states(rho0, len(points))
-    gen = np.stack([_liouvillian(hamiltonian_block(q), _precompute_jumps(jump_operators(q)))
-                    for q in points])
+    rho = validate_density(rho0)
+    gen = _liouvillian(hamiltonian_block(p), _precompute_jumps(jump_operators(p)))
     dt, every = cfg.dt, int(cfg.record_every)
     n_steps, tail = _step_split(cfg.t_max, dt)
     step = _rk4_step(gen, dt)
-    checks = [(step, dt)] if n_steps else []
-    if tail:
-        short = _rk4_step(gen, tail)
-        checks.append((short, tail))
-    _check_stable(checks, cfg)
+    if n_steps:
+        _check_stable(step, dt, cfg)
     last = np.linalg.matrix_power(step, n_steps % every)
     if tail:
+        short = _rk4_step(gen, tail)
+        _check_stable(short, tail, cfg)
         last = short @ last
     stride = _keep_hermitian(np.linalg.matrix_power(step, every))
     last = _keep_hermitian(last)
@@ -410,17 +375,16 @@ def evolve(rho0, p: ModelParams | Sequence[ModelParams], cfg: IntegratorConfig |
         times = np.append(times, cfg.t_max)
     elif n_steps:
         times[-1] = cfg.t_max
-    states = np.empty((len(points), len(times), 16), dtype=complex)
-    states[:, 0] = rho.reshape(-1, 16)
-    trace = np.trace(rho, axis1=-2, axis2=-1)
+    states = np.empty((len(times), 16), dtype=complex)
+    states[0] = rho.reshape(16)
+    trace = np.trace(rho)
     n_strides = n_steps // every
     powers = _stride_powers(stride, min(n_strides, _SAMPLE_BLOCK))
     for start in range(0, n_strides, _SAMPLE_BLOCK):
-        _fill(states, start, powers[:, :n_strides - start], trace)
+        _fill(states, start, powers[:n_strides - start], trace)
     if not ends_on_stride:
-        _fill(states, n_strides, last[:, None], trace)
-    states = states.reshape(len(points), len(times), 4, 4)
-    return times, states[0] if isinstance(p, ModelParams) else states
+        _fill(states, n_strides, last[None], trace)
+    return times, states.reshape(len(times), 4, 4)
 
 
 def _closed_form_scales(p: ModelParams) -> DerivedScales:

@@ -192,11 +192,10 @@ def _checks(quick: bool, dt: float, gamma: float | None) -> Iterator[Check]:
               for theta in (math.pi / 4, 0.0) for mu in ((1,) if quick else (1, 0, -1))]
     cfg = IntegratorConfig(dt=dt, t_max=5.0 if quick else 20.0, record_every=10)
     try:
-        times, states = evolve(np.stack([initial_state(p.theta) for p in points]), points, cfg)
+        runs = [evolve(initial_state(p.theta), p, cfg) for p in points]
     except StepUnstable as exc:
         yield Check("analytic-vs-numeric", "FAIL", f"integration unstable: {exc}", {})
     else:
-        runs = [(times, point_states) for point_states in states]
         yield analytic_vs_numeric(points, runs, dt)
         yield conservation(runs)
 

@@ -71,6 +71,8 @@ def _traced_metrics(tmp_path, argv):
     ["evolve", "--config", "run.conf", "--out", "run.csv", "--plot"],
     ["sweep", "--config", "run.conf", "--param", "b", "--from", "0.5", "--to", "2.5",
      "--count", "3", "--out", "sweep.csv"],
+    ["evolve", "--config", "run.conf", "--out", "mix.csv", "--mode", "sector-mixture",
+     "--compare-j0-zero"],
 ])
 def test_traced_run_reports_every_per_layer_metric(tmp_path, argv):
     metrics = _traced_metrics(tmp_path, argv)
@@ -79,11 +81,12 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path, argv):
     missing = [name for name in wanted if name not in metrics]
     assert missing == []
     assert all(math.isfinite(metrics[name]) for name in wanted)
-    # one integration per (point, reference) entry, counted from the `cfg` it was given
+    # one `evolve` call per point x reference x sector, counted from the `cfg` it was given
     points = int(argv[argv.index("--count") + 1]) if "--count" in argv else 1
-    assert metrics["dynamics.evolve.calls"] == points
-    assert metrics["dynamics.evolve.steps"] == 50 * points
-    assert metrics["dynamics.evolve.samples"] == 51 * points
+    runs = points * (2 if "--compare-j0-zero" in argv else 1) * (3 if "sector-mixture" in argv else 1)
+    assert metrics["dynamics.evolve.calls"] == runs
+    assert metrics["dynamics.evolve.steps"] == 50 * runs
+    assert metrics["dynamics.evolve.samples"] == 51 * runs
     assert metrics["cli.write_csv.bytes"] > 0
     if "--plot" in argv:
         assert metrics["plotting.svg_bytes"] > 0

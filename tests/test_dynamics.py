@@ -123,8 +123,6 @@ def test_validate_density_rejections(rng):
         validate_density(inf_entry)
     with pytest.raises(ValueError, match="NaN or Inf"):
         evolve(nan_entry, ModelParams())
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        evolve(np.stack([rho, nan_entry]), [ModelParams(), ModelParams(b=1.0)])
 
 
 # --- generator --------------------------------------------------------------
@@ -356,55 +354,14 @@ def test_evolve_fills_each_block_of_samples_in_one_matmul(monkeypatch, t_max):
     assert 0 < len(calls) <= math.ceil(n_strides / B) + tail
 
 
-# --- batched integration --------------------------------------------------------
+# --- one point per call -------------------------------------------------------
 
-def _assert_batch_matches_single_calls(rho0, points, cfg):
-    times, states = evolve(rho0, points, cfg)
-    assert states.shape == (len(points), len(times), 4, 4)
-    for k, p in enumerate(points):
-        one_times, one_states = evolve(rho0 if np.ndim(rho0) == 2 else rho0[k], p, cfg)
-        assert np.array_equal(one_times, times)
-        assert np.array_equal(one_states, states[k])  # bit for bit
-
-
-@pytest.mark.parametrize("t_max", [0.2, 0.2005])
-def test_batched_points_match_single_calls(t_max):
-    # 200 whole steps, not a multiple of the stride: 66 strides, three blocks of samples;
-    # the second window adds a short tail step
-    points = [ModelParams(b=b, mu=mu) for b in (0.5, 1.5, 2.5) for mu in (1, 0, -1)]
-    _assert_batch_matches_single_calls(initial_state(math.pi / 4), points,
-                                       IntegratorConfig(dt=1e-3, t_max=t_max, record_every=3))
-
-
-def test_batched_theta_sweep_matches_single_calls():
-    # a theta sweep starts every point from its own initial state
-    thetas = np.linspace(0.0, 1.5, 4)
-    points = [ModelParams(theta=float(theta)) for theta in thetas]
-    rho0 = np.stack([initial_state(theta) for theta in thetas])
-    # 33 strides, two blocks of samples, then a short tail step
-    _assert_batch_matches_single_calls(rho0, points,
-                                       IntegratorConfig(dt=1e-3, t_max=0.1005, record_every=3))
-
-
-def test_batched_evolve_rejects_mismatched_inputs():
-    points = [ModelParams(), ModelParams(b=1.0)]
-    with pytest.raises(ValueError, match="3 initial states for 2 parameter points"):
-        evolve(np.stack([initial_state(0.3)] * 3), points)
-    with pytest.raises(ValueError, match="at least one"):
-        evolve(initial_state(0.3), [])
-
-
-def test_batched_unstable_point_is_named_by_index():
-    # at dt = 0.01 the RK4 step is stable for b = 50 and 100 and unstable from b = 150 on
-    cfg = IntegratorConfig(dt=0.01, t_max=1.0, record_every=1)
-    points = [ModelParams(b=b) for b in (50.0, 100.0, 150.0, 200.0)]
-    with pytest.raises(StepUnstable) as err:
-        evolve(initial_state(0.3), points, cfg)
-    assert err.value.index == 2
-    with pytest.raises(StepUnstable) as single:
-        evolve(initial_state(0.3), points[2], cfg)
-    assert single.value.index == 0
-    assert str(err.value) == str(single.value)
+def test_evolve_takes_one_point_and_one_state():
+    rho0 = initial_state(0.3)
+    with pytest.raises(TypeError, match="got list; call it once per point"):
+        evolve(rho0, [ModelParams(), ModelParams(b=1.0)])
+    with pytest.raises(ValueError, match=r"must be 4x4, got \(2, 4, 4\)"):
+        evolve(np.stack([rho0, rho0]), ModelParams())
 
 
 def test_jz_and_the_j0_zero_sectors_drop_out():
@@ -412,18 +369,14 @@ def test_jz_and_the_j0_zero_sectors_drop_out():
     # inner block, so it commutes with every X state; at J0 = 0 every sector
     # has Delta = B, and its shift B mu / 2 is a multiple of the identity
     cfg = IntegratorConfig(dt=0.01, t_max=20.0)
-    thetas = (0.0, 0.3, math.pi / 4)
-    rho0 = np.stack([initial_state(theta) for theta in thetas])
-    _, states = evolve(np.repeat(rho0, 2, axis=0),
-                       [ModelParams(theta=theta, Jz=jz) for theta in thetas for jz in (0.0, 3.0)],
-                       cfg)
-    assert np.abs(states[0::2] - states[1::2]).max() <= 1e-13
-    _, states = evolve(np.repeat(rho0, 3, axis=0),
-                       [ModelParams(theta=theta, J0=0.0, mu=mu) for theta in thetas
-                        for mu in (1, 0, -1)], cfg)
-    plus, zero, minus = states.reshape(3, 3, *states.shape[1:]).swapaxes(0, 1)
-    for other in (zero, minus, 0.25 * plus + 0.5 * zero + 0.25 * minus):
-        assert np.abs(other - plus).max() <= 1e-13
+    for theta in (0.0, 0.3, math.pi / 4):
+        rho0 = initial_state(theta)
+        no_jz, jz = (evolve(rho0, ModelParams(theta=theta, Jz=jz), cfg)[1] for jz in (0.0, 3.0))
+        assert np.abs(jz - no_jz).max() <= 1e-13
+        plus, zero, minus = (evolve(rho0, ModelParams(theta=theta, J0=0.0, mu=mu), cfg)[1]
+                             for mu in (1, 0, -1))
+        for other in (zero, minus, 0.25 * plus + 0.5 * zero + 0.25 * minus):
+            assert np.abs(other - plus).max() <= 1e-13
 
 
 # --- stationary state ---------------------------------------------------------

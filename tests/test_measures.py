@@ -23,6 +23,7 @@ from spinchain import (
     lqfi_paper_variant,
     qfi,
     record_from_state,
+    validate_density,
     x_leakage,
 )
 from spinchain.dynamics import X_FORM_TOL, max_abs, min_eigenvalue, x_components
@@ -533,7 +534,7 @@ def test_routes_reject_non_finite_entries(route, entry, rng):
         assert err.type is ValueError
 
 
-@pytest.mark.parametrize("route", SHAPED_ROUTES, ids=_route_id)
+@pytest.mark.parametrize("route", SHAPED_ROUTES + [validate_density], ids=_route_id)
 def test_routes_scan_their_input_for_non_finite_entries_once(route, rng, monkeypatch):
     # the steps inside a route take the array its one `as_states` call checked
     isfinite, scans = np.isfinite, []
