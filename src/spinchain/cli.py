@@ -9,20 +9,24 @@ endings, SVG charts with fixed formatting. Exit codes: 0 ok, 1 validation
 failure, 2 config error, 3 numeric instability.
 
 `scenario_rows` owns the run layout of an `evolve` or `sweep` run: sweep
-point x J0 = 0 reference x mixture sector. It takes the (point, reference)
-entries in output order, integrates each entry's run (one, or the three
-mixture sectors mixed as they come, one `evolve` call each), measures it
-into one preallocated table and drops its states, so a run holds one
-sector's trajectory and one mix at a time and fails where a point-by-point
-run fails first. The CSV is streamed from that table in blocks of rows
-and the plot drawn from it in memory.
+point x J0 = 0 reference x mixture sector. It returns the CSV header and a
+generator of one block of rows per sweep point. A point's (point,
+reference) entries are integrated in output order (one run, or the three
+mixture sectors mixed as they come, one `evolve` call each) and measured
+into that point's block, and each entry's states are dropped before the
+next entry is integrated. `write_csv` writes each block as it comes to a
+temporary file beside the output and then replaces the output with it. So
+a run holds one point's rows at a time, fails where a point-by-point run
+fails first, and never leaves a partial CSV. `evolve` draws its plot from
+its one block in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -42,8 +46,9 @@ CSV_COLUMNS = [
     "lqfi", "trace_dev", "min_eig",
 ]
 
-# write_csv formats and writes this many rows at a time
-_CSV_BLOCK = 1024
+# write_csv formats and writes this many rows at a time; at 1024 rows of 16
+# columns one chunk's list, tuple, str and bytes come to about 1.3 MB
+_CSV_BLOCK = 256
 
 # a run of at least _DEAD_RUN samples below _DEAD_BELOW is a dead interval
 _DEAD_BELOW = 1e-9
@@ -156,24 +161,25 @@ def scenario_from_entries(entries: dict) -> ScenarioConfig:
 
 
 def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]] | None = None
-                  ) -> tuple[list[str], np.ndarray]:
-    """Evaluate one scenario into a CSV header and a (rows, columns) float table.
+                  ) -> tuple[list[str], Iterator[np.ndarray]]:
+    """The CSV header of one scenario, and a generator of its (rows, columns) blocks.
 
     With compare_j0_zero the same scenario is re-run at J0 = 0 and every
     non-time column is appended again with a ``_ref`` suffix. `sweep`
-    holds (value, ModelParams) points that replace cfg.params: the table
-    then stacks one block of rows per point, in order, behind a leading
-    ``sweep_value`` column.
+    holds (value, ModelParams) points that replace cfg.params: the
+    generator then yields one block per point, in order, behind a leading
+    ``sweep_value`` column; without `sweep` it yields one block.
 
-    The (point, reference) entries are taken in output order. Each entry's
-    run, or each of its three mixture sectors added into the mix, is one
-    `evolve` call, measured into the table before the next entry is
-    integrated, so memory holds one sector's states and one mix besides the
-    table, and the first failure raised is the one a point-by-point run
-    meets first. RK4 does not keep positivity, so a coarse but stable dt
-    can leave a recorded state with an eigenvalue below -EIG_CLAMP; that is
-    an integration failure too. A StepUnstable carries the `index` of the
-    failing point.
+    The generator computes a point only when the next block is asked for.
+    The point's (point, reference) entries are taken in output order. Each
+    entry's run, or each of its three mixture sectors added into the mix,
+    is one `evolve` call, measured into the point's block before the next
+    entry is integrated. So memory holds one point's rows, one sector's
+    states and one mix, and the first failure raised is the one a
+    point-by-point run meets first. RK4 does not keep positivity, so a
+    coarse but stable dt can leave a recorded state with an eigenvalue
+    below -EIG_CLAMP; that is an integration failure too. A StepUnstable
+    carries the `index` of the failing point.
     """
     values, points = zip(*sweep) if sweep else ((), (cfg.params,))
     lead = 1 if sweep else 0
@@ -184,62 +190,86 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     sectors = (((None, None),) if cfg.mode == "single-sector"
                else ((1, 0.25), (0, 0.5), (-1, 0.25)))
     icfg, rotation = cfg.integrator(), cfg.rotation()
-    table = None
-    for point, p in enumerate(points):
-        for is_ref in refs:
-            entry = replace(p, J0=0.0) if is_ref else p
-            rho = None
-            try:
-                for mu, weight in sectors:
-                    times, states = evolve(initial_state(entry.theta),
-                                           entry if mu is None else replace(entry, mu=mu), icfg)
-                    if table is None:
-                        table = np.empty((len(points) * len(times), len(header)))
-                    if rho is None:
-                        rho = states if weight is None else weight * states
-                    else:
-                        rho += weight * states
-                    del states  # freed before the next sector is integrated
-                ms = evaluate_measures(rho)
-            except StepUnstable as exc:
-                exc.index = point
-                raise
-            except NotPositive as exc:
-                raise StepUnstable(
-                    f"integrated state at t={times[exc.index]:.6g} has min_eig {exc.min_eig:.3e} "
-                    f"below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): RK4 lost positivity; reduce dt",
-                    point) from exc
-            l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
-            columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
-            del rho  # freed before the next entry is integrated
-            # a reference entry fills the _ref columns, which repeat all but t
-            names = CSV_COLUMNS[1:] if is_ref else CSV_COLUMNS
-            first = lead + len(CSV_COLUMNS) if is_ref else lead
-            block = table[point * len(times):(point + 1) * len(times)]
-            block[:, first:first + len(names)] = np.column_stack([columns[n] for n in names])
+
+    def blocks() -> Iterator[np.ndarray]:
+        for point, p in enumerate(points):
+            block = None
+            for is_ref in refs:
+                entry = replace(p, J0=0.0) if is_ref else p
+                rho = None
+                try:
+                    for mu, weight in sectors:
+                        times, states = evolve(initial_state(entry.theta),
+                                               entry if mu is None else replace(entry, mu=mu), icfg)
+                        if block is None:
+                            block = np.empty((len(times), len(header)))
+                        if rho is None:
+                            rho = states if weight is None else weight * states
+                        else:
+                            rho += weight * states
+                        del states  # freed before the next sector is integrated
+                    ms = evaluate_measures(rho)
+                except StepUnstable as exc:
+                    exc.index = point
+                    raise
+                except NotPositive as exc:
+                    raise StepUnstable(
+                        f"integrated state at t={times[exc.index]:.6g} has min_eig "
+                        f"{exc.min_eig:.3e} below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): "
+                        f"RK4 lost positivity; reduce dt", point) from exc
+                l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
+                columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
+                del rho, ms, l1_rot  # freed before the next entry is integrated
+                # a reference entry fills the _ref columns, which repeat all but t
+                names = CSV_COLUMNS[1:] if is_ref else CSV_COLUMNS
+                first = lead + len(CSV_COLUMNS) if is_ref else lead
+                block[:, first:first + len(names)] = np.column_stack([columns[n] for n in names])
+                del columns
             if sweep:
                 block[:, 0] = values[point]
-    return header, table
+            yield block
+            del block  # the consumer holds it only until it asks for the next point
+
+    return header, blocks()
 
 
-def format_csv_value(x) -> str:
-    """The CSV text of one value; `write_csv` writes exactly these bytes."""
-    return format(float(x), ".17g")
+def write_csv(path, header: list[str], blocks: Iterable) -> int:
+    """Write (rows, columns) blocks under one header; return the number of rows.
 
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write rows with 17 significant digits and LF endings (byte stable).
-
-    Rows are formatted and written in blocks of _CSV_BLOCK, one format
-    string per block, so the file is never held whole as text.
+    Values get 17 significant digits and rows LF endings, so the bytes are
+    stable. Each block is formatted and written _CSV_BLOCK rows at a time,
+    one format string per chunk, and dropped before the next block is asked
+    for, so neither the table nor its text is ever held whole. The rows go
+    to a temporary file beside `path`, which replaces `path` only after the
+    last block: an exception raised by `blocks` or by the write leaves no
+    new file, and leaves an existing file at `path` untouched.
     """
-    rows = np.asarray(rows, dtype=float)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            fh.write(((row_format * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
+    count = 0
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("ascii"))
+            for block in blocks:
+                block = np.asarray(block, dtype=float)
+                for start in range(0, len(block), _CSV_BLOCK):
+                    fh.write(_csv_bytes(row_format, block[start:start + _CSV_BLOCK]))
+                count += len(block)
+                del block  # freed before the next block is computed
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # name the output, not the temporary file beside it
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    return count
+
+
+def _csv_bytes(row_format: str, rows: np.ndarray) -> bytes:
+    return ((row_format * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
 def detect_events(times, values) -> list[Event]:
@@ -287,9 +317,10 @@ def _crossing(t0, v0, t1, v1) -> float:
 
 
 def run_evolve(cfg: ScenarioConfig) -> int:
-    header, rows = scenario_rows(cfg)
+    header, blocks = scenario_rows(cfg)
+    (rows,) = blocks
     path = Path(cfg.out or "evolve.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, [rows])
     print(f"wrote {path} ({len(rows)} samples)")
     concurrence = rows[:, CSV_COLUMNS.index("concurrence")]
     events = detect_events(rows[:, 0].tolist(), concurrence.tolist())
@@ -322,13 +353,13 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         except ValueError as exc:
             raise ConfigError(f"sweep value {param}={value!r}: {exc}") from exc
 
+    header, blocks = scenario_rows(cfg, sweep)
+    path = Path(cfg.out or "sweep.csv")
     try:
-        header, rows = scenario_rows(cfg, sweep)
+        n_rows = write_csv(path, header, blocks)
     except StepUnstable as exc:
         raise StepUnstable(f"sweep point {param}={sweep[exc.index][0]:g}: {exc}") from exc
-    path = Path(cfg.out or "sweep.csv")
-    write_csv(path, header, rows)
-    print(f"wrote {path} ({count} values of {param} x {len(rows) // count} samples)")
+    print(f"wrote {path} ({count} values of {param} x {n_rows // count} samples)")
     return 0
 
 

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -28,9 +29,7 @@ from spinchain.cli import (
     _KEYS,
     CSV_COLUMNS,
     ConfigError,
-    ScenarioConfig,
     detect_events,
-    format_csv_value,
     main,
     parse_config_file,
     scenario_from_entries,
@@ -59,6 +58,11 @@ def conf(tmp_path):
     path = tmp_path / "base.conf"
     path.write_text(BASE_CONF)
     return path
+
+
+def format_csv_value(x) -> str:
+    """The CSV text of one value: the per-value reference for `write_csv`'s bytes."""
+    return format(float(x), ".17g")
 
 
 # --- config parsing -----------------------------------------------------------
@@ -234,7 +238,7 @@ def test_sector_mixture_averages_sectors(conf):
     entries = parse_config_file(conf)
     entries.update({"mode": "sector-mixture", "t_max": 0.2, "record_every": 100})
     cfg = scenario_from_entries(entries)
-    header, rows = scenario_rows(cfg)
+    header, (rows,) = scenario_rows(cfg)
     icfg = IntegratorConfig(dt=cfg.dt, t_max=0.2, record_every=100)
     rho0 = initial_state(cfg.params.theta)
     by_mu = {mu: evolve(rho0, replace(cfg.params, mu=mu), icfg)[1] for mu in (1, 0, -1)}
@@ -250,7 +254,7 @@ def test_sector_mixture_with_reference_is_one_batch_of_single_runs(conf):
     entries.update({"mode": "sector-mixture", "compare_j0_zero": True,
                     "t_max": 0.2005, "record_every": 7})
     cfg = scenario_from_entries(entries)
-    header, table = scenario_rows(cfg)
+    header, (table,) = scenario_rows(cfg)
     icfg = IntegratorConfig(dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every)
     rho0 = initial_state(cfg.params.theta)
     # the CLI table holds exactly the 1:2:1 blends of the single runs
@@ -307,7 +311,7 @@ def test_scenario_table_matches_per_state_evaluation(conf, extra):
     entries = parse_config_file(conf)
     entries.update({"t_max": 4.0, **extra})
     cfg = scenario_from_entries(entries)
-    header, table = scenario_rows(cfg)
+    header, (table,) = scenario_rows(cfg)
     expected = _per_state_rows(cfg)
     if cfg.compare_j0_zero:
         reference = _per_state_rows(replace(cfg, params=replace(cfg.params, J0=0.0)))
@@ -322,7 +326,7 @@ def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
     rows[3] = [-0.0, 5e-324, 1e-300, 1e300]
     rows[7] = [0.0, -5e-324, -1e300, 1.0]
     path = tmp_path / "rows.csv"
-    write_csv(path, header, rows)
+    assert write_csv(path, header, [rows]) == len(rows)
     expected = "".join(",".join(map(format_csv_value, row)) + "\n" for row in rows.tolist())
     assert path.read_bytes() == (",".join(header) + "\n" + expected).encode("ascii")
 
@@ -330,12 +334,16 @@ def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
 def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
     header = ["a", "b", "c"]
     rows = rng.normal(size=(2 * _CSV_BLOCK + 3, 3)) * 10.0 ** rng.integers(-30, 30, size=(1, 3))
-    for n_rows in (0, 1, _CSV_BLOCK, len(rows)):
-        path = tmp_path / f"rows{n_rows}.csv"
-        write_csv(path, header, rows[:n_rows])
+    # blocks that are empty, shorter than a chunk, a whole chunk, and across chunk bounds
+    for cuts in ([], [0], [1], [_CSV_BLOCK], [len(rows)], [0, 1, 1, _CSV_BLOCK + 2, len(rows)]):
+        path = tmp_path / "rows.csv"
+        blocks = [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+        n_rows = cuts[-1] if cuts else 0
+        assert write_csv(path, header, iter(blocks)) == n_rows
         expected = "".join(",".join(map(format_csv_value, row)) + "\n"
                            for row in rows[:n_rows].tolist())
         assert path.read_bytes() == ("a,b,c\n" + expected).encode("ascii")
+    assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 def test_evolve_plot_flag_writes_svg(conf, tmp_path):
@@ -393,8 +401,9 @@ def test_sweep_blocks_are_the_bytes_of_single_runs(conf, tmp_path, sweep):
             [format_csv_value(value).encode("ascii"), line] for line in expected[1:]]
 
 
-def _sweep_peak(conf, count):
-    """tracemalloc peak of a mixture + reference sweep of `count` points, and its table."""
+def _sweep_peak(conf, path, count):
+    """tracemalloc peak of writing a mixture + reference sweep of `count` points to
+    `path`, and the bytes of one point's block of rows."""
     entries = parse_config_file(conf)
     entries.update({"mode": "sector-mixture", "compare_j0_zero": True,
                     "t_max": 2.0, "dt": 0.01, "record_every": 1})
@@ -402,21 +411,22 @@ def _sweep_peak(conf, count):
     sweep = [(b, replace(cfg.params, b=b)) for b in np.linspace(1.0, 2.0, count)]
     tracemalloc.start()
     try:
-        _, table = scenario_rows(cfg, sweep)
+        header, blocks = scenario_rows(cfg, sweep)
+        write_csv(path, header, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, table
+    samples = (len(path.read_bytes().splitlines()) - 1) // count
+    return peak, samples * len(header) * np.dtype(float).itemsize
 
 
-def test_sweep_peak_memory_grows_only_with_its_table(conf):
-    # the states of one entry (three sectors) are dropped before the next is integrated
-    _sweep_peak(conf, 2)  # warm every first-call cache outside the measured runs
-    small, small_table = _sweep_peak(conf, 2)
-    large, large_table = _sweep_peak(conf, 8)
-    samples = len(large_table) // 8
-    entry_states = 3 * samples * 16 * np.dtype(complex).itemsize
-    assert large - small <= large_table.nbytes - small_table.nbytes + entry_states
+def test_sweep_peak_memory_does_not_grow_with_its_point_count(conf, tmp_path):
+    # each point's block is written and dropped before the next point is integrated
+    path = tmp_path / "sw.csv"
+    _sweep_peak(conf, path, 2)  # warm every first-call cache outside the measured runs
+    small, _ = _sweep_peak(conf, path, 2)
+    large, block = _sweep_peak(conf, path, 8)
+    assert large - small <= block
 
 
 @pytest.mark.parametrize("extra", [
@@ -530,6 +540,16 @@ def test_unknown_config_key_exit_code(tmp_path):
     assert main(["evolve", "--config", str(path)]) == 2
 
 
+def test_unwritable_out_is_a_config_error_that_names_it(conf, tmp_path, capsys):
+    # the rows go to a temporary file beside --out, but an error names --out itself
+    (tmp_path / "d").mkdir()
+    for out, code in ((tmp_path / "nodir" / "x.csv", errno.ENOENT), (tmp_path / "d", errno.EISDIR)):
+        assert main(["evolve", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["base.conf", "d"]
+    assert os.listdir(tmp_path / "d") == []
+
+
 def test_unstable_integration_exit_code(conf, tmp_path, capsys):
     code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
                  "--J", "40", "--b", "80", "--dt", "0.9", "--t-max", "40",
@@ -602,6 +622,25 @@ def test_unstable_later_sweep_point_exit_code(conf, tmp_path, capsys):
     assert "numeric instability: sweep point b=150: RK4 amplification factor" in err
     assert "reduce dt" in err
     assert not (tmp_path / "sw.csv").exists()
+
+
+def test_failing_sweep_leaves_an_existing_out_file_untouched(conf, tmp_path, capsys):
+    # b = 150 fails after the points b = 50 and 100 were written to the temporary file
+    argv = ["sweep", "--config", str(conf), "--param", "b",
+            "--from", "50", "--to", "200", "--count", "4",
+            "--dt", "0.01", "--t-max", "1", "--record-every", "1", "--out"]
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    fresh.mkdir()
+    existing.mkdir()
+    assert main(argv + [str(fresh / "sw.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric instability: sweep point b=150: RK4 amplification factor" in err
+    (existing / "sw.csv").write_bytes(b"t\n0\n")
+    assert main(argv + [str(existing / "sw.csv")]) == 3
+    assert capsys.readouterr().err == err
+    assert (existing / "sw.csv").read_bytes() == b"t\n0\n"
+    assert os.listdir(existing) == ["sw.csv"]
+    assert os.listdir(fresh) == []
 
 
 def test_unstable_later_sweep_point_in_sector_mixture_exit_code(conf, tmp_path, capsys):

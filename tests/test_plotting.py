@@ -136,7 +136,7 @@ def test_emit_plot_matches_the_per_point_generator(case, tmp_path):
     assert re.findall(r'text-anchor="end">([^<]*)</text>', body) == y_labels
     # the plot subcommand on the written CSV draws the same bytes
     csv = tmp_path / "table.csv"
-    write_csv(csv, header, rows)
+    write_csv(csv, header, [rows])
     replot = tmp_path / "replot.svg"
     assert main(["plot", "--csv", str(csv), "--columns", "a,b", "--out", str(replot)]) == 0
     assert replot.read_bytes() == out.read_bytes()
