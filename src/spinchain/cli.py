@@ -46,8 +46,9 @@ CSV_COLUMNS = [
     "lqfi", "trace_dev", "min_eig",
 ]
 
-# write_csv formats and writes this many rows at a time; at 1024 rows of 16
-# columns one chunk's list, tuple, str and bytes come to about 1.3 MB
+# write_csv formats and writes this many rows at a time: at 16 columns the
+# temporaries of one chunk (48 bytes of text per value, its keep masks, the
+# digits) peak at about 0.55 MB
 _CSV_BLOCK = 256
 
 # a run of at least _DEAD_RUN samples below _DEAD_BELOW is a dead interval
@@ -236,25 +237,32 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
 def write_csv(path, header: list[str], blocks: Iterable) -> int:
     """Write (rows, columns) blocks under one header; return the number of rows.
 
-    Values get 17 significant digits and rows LF endings, so the bytes are
-    stable. Each block is formatted and written _CSV_BLOCK rows at a time,
-    one format string per chunk, and dropped before the next block is asked
-    for, so neither the table nor its text is ever held whole. The rows go
-    to a temporary file beside `path`, which replaces `path` only after the
-    last block: an exception raised by `blocks` or by the write leaves no
-    new file, and leaves an existing file at `path` untouched.
+    Each value is written as ``'%.17g' % value`` gives it and each row ends
+    in LF, so the bytes are stable. Each block is formatted _CSV_BLOCK rows
+    at a time by `csvtext.csv_text` and dropped before the next block is
+    asked for, so neither the table nor its text is ever held whole. A
+    block that is not 2-D with one column per header name raises
+    ValueError. The rows go to a temporary file beside `path`, which
+    replaces `path` only after the last block: an exception raised by
+    `blocks` or by the write leaves no new file, and leaves an existing
+    file at `path` untouched.
     """
+    # imported here, so that a command that writes no CSV never builds its tables
+    from .csvtext import csv_text
+
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     count = 0
     try:
         with open(tmp, "wb") as fh:
             fh.write((",".join(header) + "\n").encode("ascii"))
             for block in blocks:
                 block = np.asarray(block, dtype=float)
+                if block.ndim != 2 or block.shape[1] != len(header):
+                    raise ValueError(f"a block of shape {block.shape} does not fit "
+                                     f"the {len(header)} columns of the header")
                 for start in range(0, len(block), _CSV_BLOCK):
-                    fh.write(_csv_bytes(row_format, block[start:start + _CSV_BLOCK]))
+                    fh.write(csv_text(block[start:start + _CSV_BLOCK]))
                 count += len(block)
                 del block  # freed before the next block is computed
         os.replace(tmp, path)
@@ -266,10 +274,6 @@ def write_csv(path, header: list[str], blocks: Iterable) -> int:
     finally:
         tmp.unlink(missing_ok=True)
     return count
-
-
-def _csv_bytes(row_format: str, rows: np.ndarray) -> bytes:
-    return ((row_format * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
 def detect_events(times, values) -> list[Event]:

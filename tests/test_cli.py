@@ -1,10 +1,12 @@
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from spinchain import (
     l1_coherence,
     record_from_state,
 )
-from spinchain import cli
+from spinchain import cli, csvtext
 from spinchain.cli import (
     _CSV_BLOCK,
     _KEYS,
@@ -320,15 +322,74 @@ def test_scenario_table_matches_per_state_evaluation(conf, extra):
     assert np.abs(table - expected).max() <= 1e-13
 
 
+def _csv_reference(header, rows) -> bytes:
+    """The bytes `write_csv` must write: one `format_csv_value` per value."""
+    lines = [",".join(header)] + [",".join(map(format_csv_value, row)) for row in rows.tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def test_write_csv_bytes_match_format_csv_value(tmp_path, rng):
     header = ["a", "b", "c", "d"]
     rows = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
     rows[3] = [-0.0, 5e-324, 1e-300, 1e300]
     rows[7] = [0.0, -5e-324, -1e300, 1.0]
+    # decimal exponents -30..16, most of them where write_csv's vectorized path runs
+    fast = rng.normal(size=(5000, 4)) * 10.0 ** rng.integers(-29, 16, size=(5000, 4))
+    path = tmp_path / "rows.csv"
+    for table in (rows, fast):
+        assert write_csv(path, header, [table]) == len(table)
+        assert path.read_bytes() == _csv_reference(header, table)
+
+
+def _neighbours(x: float, k: int = 4) -> list[float]:
+    """x and the k doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return below[:0:-1] + above
+
+
+def _exact_ties() -> list[float]:
+    """Doubles whose 17-digit rounding is an exact tie: x = m / 2**(p + 1), m odd,
+    so x * 10**p = m * 5**p / 2 with the integer part in [1e16, 1e17)."""
+    ties = []
+    for p in range(1, 46):
+        low, high = -(-2 * 10**16 // 5**p), min((2 * 10**17 - 1) // 5**p, 2**53 - 1)
+        for m in {low | 1, (low + high) // 2 | 1, (high - 1) | 1}:
+            if m <= high:
+                x = m / 2.0 ** (p + 1)
+                assert (Fraction(x) * 10**p).denominator == 2
+                ties.append(x)
+    return ties
+
+
+def test_write_csv_is_exact_at_the_edges_of_its_fast_path(tmp_path):
+    ties = _exact_ties()
+    # the fast path leaves every value within 1e-9 of a tie to '%.17g'
+    assert not csvtext._decimal(np.array(ties))[2].any()
+    values = [v for k in range(-35, 21) for v in _neighbours(float(f"1e{k}"))]
+    values += _neighbours(1e16 - 2) + _neighbours(1e17 - 16) + ties
+    values += [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    values += [-v for v in values]
+    header = ["a", "b", "c"]
+    rows = np.resize(np.array(values), (-(-len(values) // 3), 3))
+    # fallback values in the middle of a chunk, and in the last column
+    middle = [[1.0, math.nan, 0.5], [0.25, 0.125, -1e300]]
+    rows = np.vstack([rows[:_CSV_BLOCK // 2], middle, rows[_CSV_BLOCK // 2:],
+                      [[1e-5, 1e-4, 1e-300]]])
+    assert len(rows) > _CSV_BLOCK
     path = tmp_path / "rows.csv"
     assert write_csv(path, header, [rows]) == len(rows)
-    expected = "".join(",".join(map(format_csv_value, row)) + "\n" for row in rows.tolist())
-    assert path.read_bytes() == (",".join(header) + "\n" + expected).encode("ascii")
+    assert path.read_bytes() == _csv_reference(header, rows)
+
+
+@pytest.mark.parametrize("block", [np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(3)])
+def test_write_csv_rejects_a_block_that_does_not_fit_the_header(tmp_path, block):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match=re.escape(f"shape {block.shape}") + ".* the 3 columns"):
+        write_csv(path, ["a", "b", "c"], [np.zeros((1, 3)), block])
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
@@ -340,9 +401,7 @@ def test_write_csv_streams_blocks_byte_identically(tmp_path, rng):
         blocks = [rows[a:b] for a, b in zip([0] + cuts, cuts)]
         n_rows = cuts[-1] if cuts else 0
         assert write_csv(path, header, iter(blocks)) == n_rows
-        expected = "".join(",".join(map(format_csv_value, row)) + "\n"
-                           for row in rows[:n_rows].tolist())
-        assert path.read_bytes() == ("a,b,c\n" + expected).encode("ascii")
+        assert path.read_bytes() == _csv_reference(header, rows[:n_rows])
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 

@@ -58,6 +58,7 @@ import sys
 from spinchain.cli import main
 status = main(["validate", "--quick"])
 print("numpy.random imported:", "numpy.random" in sys.modules)
+print("spinchain.csvtext imported:", "spinchain.csvtext" in sys.modules)
 sys.exit(status)
 """
 
@@ -73,6 +74,8 @@ def test_validate_quick_draws_without_numpy_random(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert outputs[0][-2:] == ["validate: OK (0 failing checks)", "numpy.random imported: False"]
+    # a command that writes no CSV does not load the CSV text kernel either
+    assert outputs[0][-3:] == ["validate: OK (0 failing checks)", "numpy.random imported: False",
+                               "spinchain.csvtext imported: False"]
     # the draws are seeded: a second process prints the same lines
     assert outputs[0] == outputs[1]
