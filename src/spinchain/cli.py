@@ -34,12 +34,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import EIG_CLAMP, IntegratorConfig, StepUnstable, evolve, record_from_state
-from .measures import BasisRotation, NotPositive, evaluate_measures, l1_coherence
+from .measures import BasisRotation, NotPositive, evaluate_measures
 from .model import ModelParams, initial_state
 from .plotting import UnknownColumn, emit_plot, read_csv
 from .validate import run_validate
 
-# the fields of TimeSeriesRecord and of MeasureSet, and l1_rotated, in output order
+# the fields of TimeSeriesRecord and of MeasureSet, in output order. MeasureSet owns
+# l1_rotated: evaluate_measures takes it from the X components, within 1e-14 of the
+# generic l1_coherence(rho, rotation) on the exactly X-form states evolve returns
 CSV_COLUMNS = [
     "t", "rho11", "rho22", "rho33", "rho44", "abs_rho14", "abs_rho23",
     "concurrence", "c1_branch", "c2_branch", "l1_coherence", "l1_rotated",
@@ -209,7 +211,7 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                         else:
                             rho += weight * states
                         del states  # freed before the next sector is integrated
-                    ms = evaluate_measures(rho)
+                    ms = evaluate_measures(rho, rotation)
                 except StepUnstable as exc:
                     exc.index = point
                     raise
@@ -218,9 +220,8 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                         f"integrated state at t={times[exc.index]:.6g} has min_eig "
                         f"{exc.min_eig:.3e} below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): "
                         f"RK4 lost positivity; reduce dt", point) from exc
-                l1_rot = ms.l1_coherence if rotation is None else l1_coherence(rho, rotation)
-                columns = {**vars(record_from_state(times, rho)), **vars(ms), "l1_rotated": l1_rot}
-                del rho, ms, l1_rot  # freed before the next entry is integrated
+                columns = {**vars(record_from_state(times, rho)), **vars(ms)}
+                del rho, ms  # freed before the next entry is integrated
                 # a reference entry fills the _ref columns, which repeat all but t
                 names = CSV_COLUMNS[1:] if is_ref else CSV_COLUMNS
                 first = lead + len(CSV_COLUMNS) if is_ref else lead

@@ -75,9 +75,6 @@ _TRACE_TOL = 1e-9
 # evolve fills this many samples per matmul, from a stack of stride powers
 _SAMPLE_BLOCK = 32
 
-# row-major vec(rho) position of each entry of rho transposed
-_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
-
 
 class StepUnstable(RuntimeError):
     """dt lies outside the RK4 stability region of the generator.
@@ -198,11 +195,14 @@ def hermiticity_defect(a) -> float | np.ndarray:
     """max |a_ij - conj(a_ji)| of a square matrix, per matrix of a stack.
 
     The root of the largest re^2 + im^2 of the difference: one square root
-    per matrix rather than a complex abs per entry.
+    per matrix rather than a complex abs per entry. re and im are read from
+    the interleaved float64 view of the input, made contiguous first.
     """
-    m = np.asarray(a, dtype=complex)
-    sq = m.real - m.real.swapaxes(-1, -2)
-    im = m.imag + m.imag.swapaxes(-1, -2)
+    m = np.ascontiguousarray(a, dtype=complex)
+    v = m.view(np.float64).reshape(m.shape + (2,))
+    t = v.swapaxes(-3, -2)
+    sq = v[..., 0] - t[..., 0]
+    im = v[..., 1] + t[..., 1]
     sq *= sq
     im *= im
     sq += im
@@ -293,8 +293,13 @@ def _check_stable(step: np.ndarray, h: float, cfg: IntegratorConfig) -> None:
 
 
 def _keep_hermitian(m: np.ndarray) -> np.ndarray:
-    """m made to map Hermitian matrices to Hermitian ones exactly, as RK4 does."""
-    return 0.5 * (m + m[..., _TRANSPOSED[:, None], _TRANSPOSED].conj())
+    """m made to map Hermitian matrices to Hermitian ones exactly, as RK4 does.
+
+    The map that transposes both sides takes entry (4i + j, 4k + l) of m to
+    (4j + i, 4l + k), the row-major vec(rho) position of rho transposed.
+    """
+    t = m.reshape(m.shape[:-2] + (4, 4, 4, 4)).swapaxes(-4, -3).swapaxes(-2, -1)
+    return 0.5 * (m + t.reshape(m.shape).conj())
 
 
 def _stride_powers(stride: np.ndarray, count: int) -> np.ndarray:

@@ -40,6 +40,11 @@ NotHermitian, then NotXForm, then NotPositive. No eigh runs in them:
 `evaluate_measures` runs the guards once, reads each state's X components
 once and solves its two blocks once; the components give both concurrence
 branches, and the block spectra give `lqfi` and the `min_eig` it reports.
+`evaluate_measures` also owns `l1_rotated`, the l1 coherence in the basis
+of an optional rotation, taken from six fixed combinations of the X
+components: within 1e-14 of the generic `l1_coherence(rho, rotation)` on
+exactly X-form states Hermitian to rounding, and within
+4 (8 X_FORM_TOL + 4 HERMITIAN_TOL) on any state the guards pass.
 The generic routes (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take
 the same two shapes and run one eigh per state: `lqfi_bruteforce` reuses
 it for all six polarization generators. Every route reads its input
@@ -193,6 +198,39 @@ def _l1_coherence(r: np.ndarray, rotation: BasisRotation | None = None) -> np.nd
     return a.sum(axis=(-2, -1))
 
 
+def _x_rotation_map(rotation: BasisRotation) -> np.ndarray:
+    """The real (8, 12) map from the X components of a state to its rotated entries.
+
+    Rows follow rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23,
+    Im rho23, with rho41 and rho32 their conjugates. Columns 0-5 give the
+    real parts and 6-11 the imaginary parts of the six entries of
+    U rho U^H above the diagonal, U = U_1 x U_1 the rotation of `rotation`.
+    """
+    u = _two_qubit_rotation(rotation)
+    a, b = np.triu_indices(4, 1)
+    # k[i, j] holds the coefficients of rho_ij: U_ai conj(U_bj) for each entry (a, b)
+    k = u[a].T[:, None, :] * u[b].conj().T[None, :, :]
+    rows = np.array([k[0, 0], k[1, 1], k[2, 2], k[3, 3],
+                     k[0, 3] + k[3, 0], 1j * (k[0, 3] - k[3, 0]),
+                     k[1, 2] + k[2, 1], 1j * (k[1, 2] - k[2, 1])])
+    return np.concatenate([rows.real, rows.imag], axis=1)
+
+
+def _x_l1_rotated(c: XComponents, rotation: BasisRotation) -> np.ndarray:
+    """l1_coherence in the basis of `rotation` of guarded X states, from their X components.
+
+    The rotated state is Hermitian, so its l1 sum is twice that of the six
+    entries above the diagonal, each a fixed real combination of the eight
+    X entries (`_x_rotation_map`). The combination is an unoptimized einsum,
+    a multiply-add loop over the stack with no BLAS call.
+    """
+    x = np.stack([c.rho11, c.rho22, c.rho33, c.rho44, np.real(c.rho14), np.imag(c.rho14),
+                  np.real(c.rho23), np.imag(c.rho23)], axis=-1)
+    q = np.einsum("...k,km->...m", x, _x_rotation_map(rotation), optimize=False)
+    q *= q
+    return 2.0 * np.sqrt(q[..., :6] + q[..., 6:]).sum(axis=-1)
+
+
 def _hermitian(m, what: str) -> np.ndarray:
     """The square matrices `m`, after the Hermiticity guard on each."""
     bad = _first_above(hermiticity_defect(m), HERMITIAN_TOL)
@@ -300,20 +338,14 @@ def _qfi_from_eigh(p, v, hs) -> np.ndarray:
     return 0.5 * np.sum(w[..., None, :, :] * np.abs(h_eig) ** 2, axis=(-2, -1))
 
 
-def _pair_weights(p) -> np.ndarray:
-    """w_ij = 2 p_i p_j / (p_i + p_j) for eigenvalues p[..., n], as w[..., n, n].
+def _pair_weight(a, b):
+    """w = 2 a b / (a + b) for eigenvalues a, b already clamped at 0.
 
-    Negative eigenvalues count as 0, and pairs with p_i + p_j <= PAIR_EPS
-    get weight 0; the i = j terms are p_i.
+    Pairs with a + b <= PAIR_EPS get weight 0; the i = j weight of an
+    eigenvalue p is `_pair_weight(p, p)`.
     """
-    p = np.where(p < 0.0, 0.0, p)
-    psum = p[..., :, None] + p[..., None, :]
-    return np.divide(2.0 * (p[..., :, None] * p[..., None, :]), psum,
-                     out=np.zeros_like(psum), where=psum > PAIR_EPS)
-
-
-# sign of each outer-inner eigenvalue pair, - for a block's `low` and + for its `high`
-_PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    s = a + b
+    return np.divide(2.0 * (a * b), s, out=np.zeros_like(s), where=s > PAIR_EPS)
 
 
 def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = True):
@@ -323,18 +355,25 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = T
     block onto the inner one as sigma_x and sigma_y, so M is block diagonal.
     M_zz sums over the pairs inside each block. M_xx, M_yy and M_xy sum over
     the outer-inner pairs; with W the sum of their weights and V the sum
-    signed by `_PAIR_SIGNS`, the larger eigenvalue of that (x, y) block is
-    W - V cos_o cos_i + |V| sin_o sin_i. The i = j terms touch only M_zz,
-    through the diagonal weights; `include_diagonal=False` drops them.
+    with the weight of each low-high pair negated, the larger eigenvalue of
+    that (x, y) block is W - V cos_o cos_i + |V| sin_o sin_i. The i = j
+    terms touch only M_zz, through the diagonal weights;
+    `include_diagonal=False` drops them. Negative eigenvalues count as 0.
+    Only the ten weights read are formed, elementwise over the stack.
     """
-    w = _pair_weights(np.stack([outer.low, outer.high, inner.low, inner.high], axis=-1))
-    if not include_diagonal:
-        w[..., range(4), range(4)] = 0.0
-    m_zz = ((w[..., 0, 0] + w[..., 1, 1]) * outer.cos**2 + 2.0 * w[..., 0, 1] * outer.sin**2
-            + (w[..., 2, 2] + w[..., 3, 3]) * inner.cos**2 + 2.0 * w[..., 2, 3] * inner.sin**2)
-    cross = w[..., :2, 2:]
-    w_sum = cross.sum(axis=(-2, -1))
-    v_sum = (cross * _PAIR_SIGNS).sum(axis=(-2, -1))
+    ol, oh, il, ih = (np.where(p < 0.0, 0.0, p)
+                      for p in (outer.low, outer.high, inner.low, inner.high))
+    if include_diagonal:
+        o_diag = _pair_weight(ol, ol) + _pair_weight(oh, oh)
+        i_diag = _pair_weight(il, il) + _pair_weight(ih, ih)
+    else:
+        o_diag = i_diag = np.zeros_like(ol)
+    m_zz = (o_diag * outer.cos**2 + 2.0 * _pair_weight(ol, oh) * outer.sin**2
+            + i_diag * inner.cos**2 + 2.0 * _pair_weight(il, ih) * inner.sin**2)
+    w_ll, w_lh, w_hl, w_hh = (_pair_weight(ol, il), _pair_weight(ol, ih),
+                              _pair_weight(oh, il), _pair_weight(oh, ih))
+    w_sum = w_ll + w_lh + w_hl + w_hh
+    v_sum = w_ll - w_lh - w_hl + w_hh
     m_xy = w_sum - v_sum * outer.cos * inner.cos + np.abs(v_sum) * outer.sin * inner.sin
     return 1.0 - np.maximum(m_zz, m_xy)
 
@@ -405,37 +444,51 @@ class MeasureSet:
     concurrence = 2 * max(c1_branch, c2_branch, 0), with the branches
     c1_branch = |rho23| - sqrt(rho11 rho44) (inner coherence channel) and
     c2_branch = |rho14| - sqrt(rho22 rho33) (outer coherence channel);
-    they may be negative. `min_eig` is the smallest eigenvalue of the
-    state, from the same block spectra as `lqfi`; `dynamics.min_eigenvalue`
-    is its generic cross-check.
+    they may be negative. `l1_rotated` is the l1 coherence in the basis of
+    the rotation passed to `evaluate_measures`, and `l1_coherence` itself
+    without one. `min_eig` is the smallest eigenvalue of the state, from
+    the same block spectra as `lqfi`; `dynamics.min_eigenvalue` is its
+    generic cross-check.
     """
 
     concurrence: float
     c1_branch: float
     c2_branch: float
     l1_coherence: float
+    l1_rotated: float
     lqfi: float
     min_eig: float
 
 
-def evaluate_measures(rho) -> MeasureSet:
+def evaluate_measures(rho, rotation: BasisRotation | None = None) -> MeasureSet:
     """Bundle the X-state measures of one state or of a (T, 4, 4) stack.
 
     The guards run once, in the order of `lqfi`: NotHermitian, NotXForm,
     NotPositive. Each state's X components are read once and its two 2x2
     blocks solved once, in closed form: the components give the concurrence
-    and its branches, and the block spectra give `lqfi` and `min_eig`, the
-    smaller of the two lower block eigenvalues. No eigh runs.
+    and its branches and `l1_rotated`, and the block spectra give `lqfi`
+    and `min_eig`, the smaller of the two lower block eigenvalues. No eigh
+    runs.
+
+    Without a rotation `l1_rotated` is `l1_coherence`, bit for bit. With
+    one it is built from the X components alone, so it agrees with the
+    generic `l1_coherence(rho, rotation)` within 1e-14 on a state that is
+    exactly X-form and Hermitian to rounding, as every integrated state
+    is. On another state that passes the guards, it also leaves out the
+    off-pattern entries and the anti-Hermitian part, which can move it by
+    up to 4 (8 X_FORM_TOL + 4 HERMITIAN_TOL), about 3.4e-8.
     """
     r = _x_form_states(_hermitian_states(rho))
     c = _x_components(r)
     outer, inner = _x_blocks(c)
     conc, c1, c2 = _x_concurrence(c)
+    l1 = per_state(_l1_coherence(r))
     return MeasureSet(
         concurrence=per_state(conc),
         c1_branch=per_state(c1),
         c2_branch=per_state(c2),
-        l1_coherence=per_state(_l1_coherence(r)),
+        l1_coherence=l1,
+        l1_rotated=l1 if rotation is None else per_state(_x_l1_rotated(c, rotation)),
         lqfi=per_state(_lqfi_from_blocks(outer, inner)),
         min_eig=per_state(np.minimum(outer.low, inner.low)),
     )

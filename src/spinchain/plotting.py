@@ -59,6 +59,11 @@ def _fmt(x: float) -> str:
     return format(x, ".4g")
 
 
+def _text(name: str) -> str:
+    """A column name as SVG character data: &, < and > escaped."""
+    return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_plot(header, rows, columns, out_path) -> None:
     """Render the named columns of a table as an SVG line chart.
 
@@ -135,7 +140,7 @@ def emit_plot(header, rows, columns, out_path) -> None:
             f'font-size="12" fill="#333333" text-anchor="end">{_fmt(yv)}</text>')
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 12}" font-family="sans-serif" '
-        f'font-size="13" fill="#333333" text-anchor="middle">{header[0]}</text>')
+        f'font-size="13" fill="#333333" text-anchor="middle">{_text(header[0])}</text>')
 
     for k, name in enumerate(columns):
         color = _PALETTE[k % len(_PALETTE)]
@@ -151,7 +156,7 @@ def emit_plot(header, rows, columns, out_path) -> None:
             f'stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="12" '
-            f'fill="#333333">{name}</text>')
+            f'fill="#333333">{_text(name)}</text>')
 
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n", encoding="ascii")

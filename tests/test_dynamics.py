@@ -75,6 +75,39 @@ def test_hermiticity_guard_at_half_and_twice_the_tolerance(rng, scale):
         validate_density(stack[2])
 
 
+def _reference_hermiticity_defect(a):
+    """The strided .real/.imag form of the defect, the interleaved route's reference."""
+    m = np.asarray(a, dtype=complex)
+    sq = m.real - m.real.swapaxes(-1, -2)
+    im = m.imag + m.imag.swapaxes(-1, -2)
+    sq *= sq
+    im *= im
+    sq += im
+    return np.sqrt(np.max(sq, axis=(-2, -1)))
+
+
+def test_hermiticity_defect_matches_the_strided_form_bit_for_bit(rng):
+    h = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+    h = h + h.conj().swapaxes(-1, -2)
+    h += 1e-11 * rng.normal(size=h.shape) + 1e-11j * rng.normal(size=h.shape)
+    odd = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    # contiguous, strided and transposed stacks, one state, another size, real input
+    for a in (h, h[::3], h.swapaxes(-1, -2), h[:, ::-1, ::-1], h[7], odd, h.real):
+        assert np.array_equal(hermiticity_defect(a), _reference_hermiticity_defect(a))
+
+
+def _reference_keep_hermitian(m):
+    """The fancy-index form of `_keep_hermitian`, its reference."""
+    transposed = np.arange(16).reshape(4, 4).T.reshape(16)
+    return 0.5 * (m + m[..., transposed[:, None], transposed].conj())
+
+
+def test_keep_hermitian_matches_the_fancy_index_form_bit_for_bit(rng):
+    m = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+    for a in (m, m[2], m[:, ::-1], m.swapaxes(-1, -2)):
+        assert np.array_equal(_keep_hermitian(a), _reference_keep_hermitian(a))
+
+
 def test_x_components_extraction(rng):
     rho = random_x_state(rng)
     xc = x_components(rho)

@@ -26,8 +26,14 @@ from spinchain import (
     validate_density,
     x_leakage,
 )
-from spinchain.dynamics import X_FORM_TOL, max_abs, min_eigenvalue, x_components
-from spinchain.measures import EIG_CLAMP, NotPositive, _two_qubit_rotation
+from spinchain.dynamics import HERMITIAN_TOL, X_FORM_TOL, max_abs, min_eigenvalue, x_components
+from spinchain.measures import (
+    EIG_CLAMP,
+    PAIR_EPS,
+    NotPositive,
+    _guarded_blocks,
+    _two_qubit_rotation,
+)
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -153,6 +159,49 @@ def test_rotation_unitary_anchors():
     assert abs(full[0, 1]) < 1e-15
     u = _rotation_unitary(BasisRotation(0.3, 0.7))
     assert max_abs(_two_qubit_rotation(BasisRotation(0.3, 0.7)) - np.kron(u, u)) == 0.0
+
+
+_ROTATIONS = [BasisRotation(0.0, 0.0), BasisRotation(0.4, 1.3), BasisRotation(math.pi / 2, 0.7)]
+
+
+@pytest.mark.parametrize("rot", _ROTATIONS, ids=lambda r: f"{r.phi:.3g},{r.varphi:.3g}")
+def test_l1_rotated_from_x_components_matches_the_generic_route(rot, rng):
+    stack = np.array([random_x_state(rng) for _ in range(50)])
+    values = evaluate_measures(stack, rot).l1_rotated
+    assert isinstance(values, np.ndarray) and values.shape == (50,)
+    assert np.abs(values - l1_coherence(stack, rot)).max() <= 1e-14
+    one = evaluate_measures(stack[0], rot).l1_rotated
+    assert isinstance(one, float)
+    assert abs(one - l1_coherence(stack[0], rot)) <= 1e-14
+
+
+def test_l1_rotated_without_rotation_is_l1_coherence(rng):
+    stack = np.array([random_x_state(rng) for _ in range(50)])
+    for states in (stack, stack[0]):
+        ms = evaluate_measures(states)
+        assert np.array_equal(ms.l1_rotated, l1_coherence(states))
+        assert np.array_equal(ms.l1_rotated, ms.l1_coherence)
+
+
+def test_l1_rotated_keeps_the_x_form_guard(rng):
+    rho = random_x_state(rng)
+    rho[0, 1] = rho[1, 0] = 1e-6
+    with pytest.raises(NotXForm):
+        evaluate_measures(rho, BasisRotation(0.4, 1.3))
+
+
+def test_l1_rotated_bound_on_states_the_guards_let_through(rng):
+    # the X route drops the off-pattern entries and the anti-Hermitian part;
+    # the documented bound is four times the l1 norm of what it drops
+    rot = BasisRotation(0.4, 1.3)
+    rho = random_x_state(rng)
+    rows, cols = [0, 0, 1, 2], [1, 2, 3, 3]  # the off-pattern entries above the diagonal
+    rho[rows, cols] = 0.9 * X_FORM_TOL * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
+    rho[cols, rows] = rho[rows, cols].conj()
+    rho[3, 0] += 0.4 * HERMITIAN_TOL
+    rho[range(4), range(4)] += 0.4j * HERMITIAN_TOL
+    gap = abs(evaluate_measures(rho, rot).l1_rotated - l1_coherence(rho, rot))
+    assert 1e-14 < gap <= 4 * (8 * X_FORM_TOL + 4 * HERMITIAN_TOL)
 
 
 # --- quantum Fisher information ------------------------------------------------
@@ -403,6 +452,36 @@ def test_x_block_route_matches_m_route_and_bruteforce(rng, monkeypatch):
     assert np.abs(values - singles).max() <= 1e-15
     assert np.array_equal(ms.lqfi, values)
     assert np.abs(ms.min_eig - lows).max() <= 1e-15
+
+
+def _reference_lqfi_from_blocks(outer, inner, include_diagonal=True):
+    """The (T, 4, 4) pair-weight form of the block formula, the ten-weight route's reference."""
+    p = np.stack([outer.low, outer.high, inner.low, inner.high], axis=-1)
+    p = np.where(p < 0.0, 0.0, p)
+    psum = p[..., :, None] + p[..., None, :]
+    w = np.divide(2.0 * (p[..., :, None] * p[..., None, :]), psum,
+                  out=np.zeros_like(psum), where=psum > PAIR_EPS)
+    if not include_diagonal:
+        w[..., range(4), range(4)] = 0.0
+    m_zz = ((w[..., 0, 0] + w[..., 1, 1]) * outer.cos**2 + 2.0 * w[..., 0, 1] * outer.sin**2
+            + (w[..., 2, 2] + w[..., 3, 3]) * inner.cos**2 + 2.0 * w[..., 2, 3] * inner.sin**2)
+    cross = w[..., :2, 2:]
+    w_sum = cross.sum(axis=(-2, -1))
+    v_sum = (cross * np.array([[1.0, -1.0], [-1.0, 1.0]])).sum(axis=(-2, -1))
+    m_xy = w_sum - v_sum * outer.cos * inner.cos + np.abs(v_sum) * outer.sin * inner.sin
+    return 1.0 - np.maximum(m_zz, m_xy)
+
+
+def test_ten_pair_weights_match_the_full_pair_weight_form(rng):
+    # with pairs whose sums fall below PAIR_EPS: eigenvalues of 2e-13 and 3e-13 in both blocks
+    tiny = [_x_state(_block(rng, 3e-13, share), _block(rng, 2e-13, 1.0 - share - 5e-13))
+            for share in (0.3, 0.6)]
+    stack = np.concatenate([_hard_x_states(rng), tiny, [random_x_state(rng) for _ in range(200)]])
+    for measure, diagonal in ((lqfi, True), (lqfi_paper_variant, False)):
+        assert np.array_equal(measure(stack),
+                              _reference_lqfi_from_blocks(*_guarded_blocks(stack), diagonal))
+        for rho in stack[:100]:
+            assert measure(rho) == _reference_lqfi_from_blocks(*_guarded_blocks(rho), diagonal)
 
 
 def test_x_block_route_anchors_are_exact(no_eigh):

@@ -1,5 +1,6 @@
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -42,6 +43,16 @@ def test_emit_plot_structure(sample_csv, tmp_path):
     assert body.count("<polyline") == 2
     assert ">alpha<" in body and ">beta<" in body
     assert ">t<" in body  # x-axis label from the first column
+
+
+def test_plot_escapes_markup_in_column_names(tmp_path):
+    csv = tmp_path / "marked.csv"
+    csv.write_text("t<&>,a<b&c,d>e\n0,1.0,2.0\n1,0.5,1.5\n")
+    out = tmp_path / "chart.svg"
+    assert main(["plot", "--csv", str(csv), "--columns", "a<b&c,d>e", "--out", str(out)]) == 0
+    texts = [el.text for el in ET.parse(out).getroot() if el.tag.endswith("text")]
+    # the axis label follows the tick labels, then one legend entry per column
+    assert texts[-3:] == ["t<&>", "a<b&c", "d>e"]
 
 
 def test_emit_plot_skips_non_finite_points(sample_csv, tmp_path):
