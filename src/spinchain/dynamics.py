@@ -244,7 +244,9 @@ def _precompute_jumps(jumps):
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
         op_dag = op.conj().T
-        pre.append((op, op_dag, op_dag @ op, float(rate)))
+        # an (N,) array of rates scales the N states of a stack, one rate each
+        rate = float(rate) if np.ndim(rate) == 0 else np.asarray(rate, dtype=float)[:, None, None]
+        pre.append((op, op_dag, op_dag @ op, rate))
     return pre
 
 
@@ -261,6 +263,10 @@ def lindblad_rhs(rho, h, jumps) -> np.ndarray:
     `jumps` is a list of (operator, rate) pairs as produced by
     `model.jump_operators`. The result is traceless and Hermitian for
     Hermitian input (up to roundoff).
+
+    For N points at once, `rho` and `h` are (N, 4, 4) stacks and each rate
+    is a float or an (N,) array; the result is the (N, 4, 4) stack of the
+    single-state right-hand sides.
     """
     return _rhs(np.asarray(rho, dtype=complex), np.asarray(h, dtype=complex),
                 _precompute_jumps(jumps))
@@ -353,6 +359,8 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
 
     Raises StepUnstable before integrating when the spectral radius of a
     step matrix that the run applies exceeds 1 + 1e-12 or is not finite.
+    Raises ValueError, before integrating too, when the arrays of the
+    samples cannot be allocated.
     """
     if not isinstance(p, ModelParams):
         raise TypeError(f"evolve integrates one ModelParams, got {type(p).__name__}; "
@@ -374,13 +382,22 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
     stride = _keep_hermitian(np.linalg.matrix_power(step, every))
     last = _keep_hermitian(last)
 
-    times = np.arange(0, n_steps + 1, every) * dt
     ends_on_stride = not (n_steps % every or tail)
+    n_samples = n_steps // every + 1 + (not ends_on_stride)
+    try:
+        # the states first: np.empty touches no page, so a grid too large is refused
+        # before the times are filled
+        states = np.empty((n_samples, 16), dtype=complex)
+        times = np.arange(0, n_steps + 1, every) * dt
+    except MemoryError as exc:
+        raise ValueError(
+            f"the {n_samples} samples of dt={dt:g} over t=0..{cfg.t_max:g} "
+            f"(record_every={every}) cannot be allocated: {exc}; "
+            "raise dt or record_every") from exc
     if not ends_on_stride:
         times = np.append(times, cfg.t_max)
     elif n_steps:
         times[-1] = cfg.t_max
-    states = np.empty((len(times), 16), dtype=complex)
     states[0] = rho.reshape(16)
     trace = np.trace(rho)
     n_strides = n_steps // every

@@ -36,6 +36,12 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # lowering operator: |0> (up) -> |1> (down)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
+# the per-site lowering operators sigma^- x I and I x sigma^-, shared by every point
+LOWER_FIRST = np.kron(SIGMA_MINUS, IDENTITY_2)
+LOWER_SECOND = np.kron(IDENTITY_2, SIGMA_MINUS)
+LOWER_FIRST.setflags(write=False)
+LOWER_SECOND.setflags(write=False)
+
 _ALLOWED_MU = (-1, 0, 1)
 
 
@@ -108,12 +114,11 @@ def jump_operators(p: ModelParams) -> list[tuple[np.ndarray, float]]:
     """Per-site lowering operators with their damping rates.
 
     Both dimer sites decay independently at the same rate gamma:
-    sigma^- x I on the first site, I x sigma^- on the second.
+    sigma^- x I on the first site, I x sigma^- on the second. The
+    operators are the read-only module constants LOWER_FIRST and
+    LOWER_SECOND, the same arrays for every point.
     """
-    return [
-        (np.kron(SIGMA_MINUS, IDENTITY_2), p.gamma),
-        (np.kron(IDENTITY_2, SIGMA_MINUS), p.gamma),
-    ]
+    return [(LOWER_FIRST, p.gamma), (LOWER_SECOND, p.gamma)]
 
 
 def initial_state(theta: float) -> np.ndarray:

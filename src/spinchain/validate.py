@@ -101,17 +101,22 @@ def lqfi_routes(states) -> Check:
 
 
 def lqfi_anchors(mixed, product, bell) -> Check:
-    """LQFI is 0 on I/4 and on a product state, and 1 on a Bell state."""
-    q = {"mixed": lqfi(mixed), "product": lqfi(product), "bell": lqfi(bell)}
+    """LQFI is 0 on I/4 and on a product state, and 1 on a Bell state, in one call on the three."""
+    q = dict(zip(("mixed", "product", "bell"), lqfi(np.array([mixed, product, bell])).tolist()))
     ok = abs(q["mixed"]) <= 1e-10 and abs(q["product"]) <= 1e-9 and abs(q["bell"] - 1.0) <= 1e-9
     return Check("lqfi anchors", _verdict(ok),
                  f"I/4: {q['mixed']:.3e}  product: {q['product']:.3e}  Bell: {q['bell']:.10f}", q)
 
 
 def lqfi_variant_probe(mixed, product) -> Check:
-    """The dropped-diagonal variant next to the full sum on I/4 and a pure product state."""
-    values = {"product": lqfi(product), "variant_product": lqfi_paper_variant(product),
-              "mixed": lqfi(mixed), "variant_mixed": lqfi_paper_variant(mixed)}
+    """The dropped-diagonal variant next to the full sum on I/4 and a pure product state.
+
+    One call of each on the two states.
+    """
+    stack = np.array([product, mixed])
+    full, dropped = lqfi(stack).tolist(), lqfi_paper_variant(stack).tolist()
+    values = {"product": full[0], "variant_product": dropped[0],
+              "mixed": full[1], "variant_mixed": dropped[1]}
     return Check("lqfi variant probe", "INFO",
                  f"pure product |01>: full-sum = {values['product']:.3e}, "
                  f"diagonal-dropped = {values['variant_product']:.6f} "
@@ -123,16 +128,20 @@ def steady_state(points: Sequence[ModelParams]) -> Check:
     """The stationary state of each point is annihilated by its generator.
 
     Also the trace identity of its populations. Skipped when a point has
-    gamma = 0, which has no unique stationary state.
+    gamma = 0, which has no unique stationary state. The generator is
+    applied in one `lindblad_rhs` call on the stacks of the points'
+    stationary states and Hamiltonians, with each jump's rates as an array.
     """
     if any(p.gamma == 0 for p in points):
         return Check("steady-state fixed point", "SKIP",
                      "gamma = 0: no unique stationary state", {})
-    worst_rhs, worst_tr = 0.0, 0.0
+    # the jump operators are the same at every point; only their rate varies
+    rates = np.array([p.gamma for p in points])
+    jumps = [(op, rates) for op, _ in jump_operators(points[0])]
+    worst_rhs = max_abs(lindblad_rhs(np.array([steady_state_limit(p) for p in points]),
+                                     np.array([hamiltonian_block(p) for p in points]), jumps))
+    worst_tr = 0.0
     for p in points:
-        ss = steady_state_limit(p)
-        worst_rhs = max(worst_rhs, max_abs(lindblad_rhs(ss, hamiltonian_block(p),
-                                                        jump_operators(p))))
         d = derived_scales(p)
         ident = (4 * p.J**2 * p.eta**2 + 16 * d.Delta**2 + 4 * p.gamma**2) \
             / (4 * (d.Omega**2 + p.gamma**2))
@@ -159,25 +168,29 @@ def _random_valid_params(rng: random.Random, gamma_override=None) -> ModelParams
             return p
 
 
-def random_x_state(rng: random.Random) -> np.ndarray:
-    """Random valid X-form density matrix (Dirichlet populations,
-    positivity-bounded coherences with random phases).
+def random_x_states(rng: random.Random, n: int) -> np.ndarray:
+    """An (n, 4, 4) stack of random valid X-form density matrices
+    (Dirichlet populations, positivity-bounded coherences with random phases).
 
-    The flat Dirichlet populations are four Exp(1) draws over their sum.
+    Each state takes eight draws in turn: four Exp(1) draws, whose ratios to
+    their sum are the flat Dirichlet populations, then the two coherence
+    magnitudes as fractions of their positivity bounds sqrt(rho11 rho44) and
+    sqrt(rho22 rho33), then the two phases. The stack is filled from the
+    (n, 8) table of draws with one set of numpy operations.
     """
-    exps = [rng.expovariate(1.0) for _ in range(4)]
-    total = sum(exps)
-    pops = [e / total for e in exps]
-    m14 = rng.uniform(0, 1) * math.sqrt(pops[0] * pops[3])
-    m23 = rng.uniform(0, 1) * math.sqrt(pops[1] * pops[2])
-    ph14 = rng.uniform(0, 2 * math.pi)
-    ph23 = rng.uniform(0, 2 * math.pi)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = pops
-    rho[0, 3] = m14 * np.exp(1j * ph14)
-    rho[3, 0] = np.conj(rho[0, 3])
-    rho[1, 2] = m23 * np.exp(1j * ph23)
-    rho[2, 1] = np.conj(rho[1, 2])
+    draws = np.array([[rng.expovariate(1.0) for _ in range(4)]
+                      + [rng.uniform(0, 1), rng.uniform(0, 1),
+                         rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]
+                      for _ in range(n)]).reshape(n, 8)
+    exps, (frac14, frac23, ph14, ph23) = draws[:, :4], draws[:, 4:].T
+    # summed left to right, as Python's sum() adds four floats
+    pops = exps / (exps[:, 0] + exps[:, 1] + exps[:, 2] + exps[:, 3])[:, None]
+    rho = np.zeros((n, 4, 4), dtype=complex)
+    rho[:, [0, 1, 2, 3], [0, 1, 2, 3]] = pops
+    rho[:, 0, 3] = frac14 * np.sqrt(pops[:, 0] * pops[:, 3]) * np.exp(1j * ph14)
+    rho[:, 1, 2] = frac23 * np.sqrt(pops[:, 1] * pops[:, 2]) * np.exp(1j * ph23)
+    rho[:, 3, 0] = np.conj(rho[:, 0, 3])
+    rho[:, 2, 1] = np.conj(rho[:, 1, 2])
     return rho
 
 
@@ -199,8 +212,8 @@ def _checks(quick: bool, dt: float, gamma: float | None) -> Iterator[Check]:
         yield analytic_vs_numeric(points, runs, dt)
         yield conservation(runs)
 
-    yield concurrence_routes([random_x_state(rng) for _ in range(200 if quick else 1000)])
-    yield lqfi_routes([random_x_state(rng) for _ in range(10 if quick else 50)])
+    yield concurrence_routes(random_x_states(rng, 200 if quick else 1000))
+    yield lqfi_routes(random_x_states(rng, 10 if quick else 50))
     mixed = np.eye(4, dtype=complex) / 4.0
     product = np.zeros((4, 4), dtype=complex)
     product[1, 1] = 1.0  # |01><01|

@@ -625,6 +625,27 @@ def test_step_outside_stability_region_exit_code(conf, tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["evolve", "--out", "x.csv"],
+    ["sweep", "--param", "b", "--from", "1", "--to", "2", "--count", "2", "--out", "x.csv"],
+    ["validate", "--quick"],
+])
+def test_time_grid_too_large_to_allocate_is_a_config_error(conf, tmp_path, monkeypatch, capsys,
+                                                           command):
+    # at dt = 1e-15 the grid takes PiB, beyond any address space, so numpy
+    # refuses it before it touches any memory (validate --quick runs to t = 5)
+    monkeypatch.chdir(tmp_path)
+    window = [] if command[0] == "validate" else [
+        "--config", str(conf), "--t-max", "20", "--record-every", "10"]
+    assert main(command[:1] + window + command[1:] + ["--dt", "1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the ")
+    assert "samples of dt=1e-15 over t=0.." in err
+    assert "cannot be allocated: Unable to allocate" in err
+    assert err.endswith("; raise dt or record_every\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
 def test_non_finite_rotation_is_a_config_error(conf, tmp_path, capsys):
     # the rotation is checked with the scenario, before dt = 0.7 fails the stability gate
     code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),

@@ -178,6 +178,25 @@ def test_generator_preserves_x_pattern_exactly(rng):
         assert x_leakage(rhs) == 0.0
 
 
+def test_stacked_generator_equals_the_single_state_calls(rng):
+    # each point has its own rate per jump, so a misaligned rate would show
+    points = [random_params(rng) for _ in range(7)]
+    states = np.array([random_density(rng) for _ in points])
+    hams = np.array([hamiltonian_block(p) for p in points])
+    (first, _), (second, _) = jump_operators(points[0])
+    rates = np.array([p.gamma for p in points])
+    stacked = lindblad_rhs(states, hams, [(first, rates), (second, 2.0 * rates[::-1])])
+    assert stacked.shape == (7, 4, 4)
+    for k, p in enumerate(points):
+        single = lindblad_rhs(states[k], hams[k],
+                              [(first, rates[k]), (second, 2.0 * rates[-1 - k])])
+        assert np.array_equal(stacked[k], single)
+    # a float rate applies to every state of the stack
+    same = lindblad_rhs(states, hams, [(first, 0.3), (second, 0.3)])
+    assert np.array_equal(same, lindblad_rhs(states, hams, [(first, np.full(7, 0.3)),
+                                                             (second, np.full(7, 0.3))]))
+
+
 def test_pure_decay_rate_without_hamiltonian():
     # both qubits excited, no coherent part: population leaves at rate 2*gamma
     gamma = 0.3

@@ -116,6 +116,13 @@ def test_jump_operators_structure():
     assert max_abs(first[0] - np.kron(SIGMA_MINUS, IDENTITY_2)) == 0.0
     assert max_abs(second[0] - np.kron(IDENTITY_2, SIGMA_MINUS)) == 0.0
     assert first[1] == second[1] == 0.7
+    # shared read-only constants: no call builds them, and no caller can change them
+    assert first[0] is jump_operators(ModelParams())[0][0]
+    assert second[0] is jump_operators(ModelParams())[1][0]
+    for op in (first[0], second[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            op[1, 0] = 2.0
+    assert np.array_equal(first[0], np.kron(SIGMA_MINUS, IDENTITY_2))
 
 
 def test_sigma_minus_lowers():

@@ -1,6 +1,8 @@
 """The `validate` checks fail on the values they guard, at their bounds."""
 
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,16 @@ import numpy as np
 import pytest
 
 import spinchain
+from spinchain import initial_state, lqfi, lqfi_paper_variant
 from spinchain.cli import main
-from spinchain.validate import conservation
+from spinchain.validate import (
+    _random_valid_params,
+    conservation,
+    lqfi_anchors,
+    lqfi_variant_probe,
+    random_x_states,
+    steady_state,
+)
 
 
 def _run():
@@ -79,3 +89,67 @@ def test_validate_quick_draws_without_numpy_random(tmp_path):
                                "spinchain.csvtext imported: False"]
     # the draws are seeded: a second process prints the same lines
     assert outputs[0] == outputs[1]
+
+
+def _one_x_state(rng):
+    """One X state by the per-state formula the stacked draws replaced."""
+    exps = [rng.expovariate(1.0) for _ in range(4)]
+    total = sum(exps)
+    pops = [e / total for e in exps]
+    m14 = rng.uniform(0, 1) * math.sqrt(pops[0] * pops[3])
+    m23 = rng.uniform(0, 1) * math.sqrt(pops[1] * pops[2])
+    ph14 = rng.uniform(0, 2 * math.pi)
+    ph23 = rng.uniform(0, 2 * math.pi)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = pops
+    rho[0, 3] = m14 * np.exp(1j * ph14)
+    rho[3, 0] = np.conj(rho[0, 3])
+    rho[1, 2] = m23 * np.exp(1j * ph23)
+    rho[2, 1] = np.conj(rho[1, 2])
+    return rho
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_random_x_states_are_the_per_state_draws(n):
+    stacked_rng, single_rng = random.Random(20240817), random.Random(20240817)
+    stack = random_x_states(stacked_rng, n)
+    assert stack.shape == (n, 4, 4)
+    singles = np.array([_one_x_state(single_rng) for _ in range(n)]).reshape(n, 4, 4)
+    assert np.array_equal(stack, singles)
+    # the same draws in the same order: the next draw of both generators is the same
+    assert stacked_rng.getstate() == single_rng.getstate()
+
+
+@pytest.mark.parametrize("bad", [0, 19])
+def test_steady_state_fails_on_one_wrong_stationary_state(monkeypatch, bad):
+    points = [_random_valid_params(random.Random(seed)) for seed in range(20)]
+    assert steady_state(points).status == "PASS"
+    exact = spinchain.validate.steady_state_limit
+
+    def perturbed(p):
+        rho = exact(p)
+        if p is points[bad]:
+            rho[0, 3] += 1e-6
+            rho[3, 0] += 1e-6
+        return rho
+
+    monkeypatch.setattr(spinchain.validate, "steady_state_limit", perturbed)
+    check = steady_state(points)
+    assert check.status == "FAIL"
+    assert check.values["max_rhs"] > 1e-8
+
+
+def test_stacked_anchor_and_probe_calls_give_the_single_state_bits():
+    # three states of distinct LQFI, so a value read from the wrong state shows
+    a, b, c = random_x_states(random.Random(7), 3)
+    assert len({lqfi(a), lqfi(b), lqfi(c)}) == 3
+    assert lqfi_anchors(a, b, c).values == {"mixed": lqfi(a), "product": lqfi(b), "bell": lqfi(c)}
+    assert lqfi_variant_probe(a, b).values == {
+        "product": lqfi(b), "variant_product": lqfi_paper_variant(b),
+        "mixed": lqfi(a), "variant_mixed": lqfi_paper_variant(a)}
+    # a Bell state at another angle moves the anchor off 1 and fails the check
+    mixed = np.eye(4, dtype=complex) / 4.0
+    product = np.zeros((4, 4), dtype=complex)
+    product[1, 1] = 1.0
+    assert lqfi_anchors(mixed, product, initial_state(math.pi / 4)).status == "PASS"
+    assert lqfi_anchors(mixed, product, initial_state(0.5)).status == "FAIL"
