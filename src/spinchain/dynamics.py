@@ -244,8 +244,8 @@ def _precompute_jumps(jumps):
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
         op_dag = op.conj().T
-        # an (N,) array of rates scales the N states of a stack, one rate each
-        rate = float(rate) if np.ndim(rate) == 0 else np.asarray(rate, dtype=float)[:, None, None]
+        # a float rate scales every state; an (N,) array scales the N states of a stack, one each
+        rate = np.asarray(rate, dtype=float)[..., None, None]
         pre.append((op, op_dag, op_dag @ op, rate))
     return pre
 

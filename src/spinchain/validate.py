@@ -38,7 +38,14 @@ from .measures import (
     lqfi_bruteforce,
     lqfi_paper_variant,
 )
-from .model import ModelParams, derived_scales, hamiltonian_block, initial_state, jump_operators
+from .model import (
+    LOWER_FIRST,
+    LOWER_SECOND,
+    ModelParams,
+    derived_scales,
+    hamiltonian_block,
+    initial_state,
+)
 
 
 class Check(NamedTuple):
@@ -131,15 +138,17 @@ def steady_state(points: Sequence[ModelParams]) -> Check:
     gamma = 0, which has no unique stationary state. The generator is
     applied in one `lindblad_rhs` call on the stacks of the points'
     stationary states and Hamiltonians, with each jump's rates as an array.
+    No points pass with n = 0.
     """
     if any(p.gamma == 0 for p in points):
         return Check("steady-state fixed point", "SKIP",
                      "gamma = 0: no unique stationary state", {})
     # the jump operators are the same at every point; only their rate varies
     rates = np.array([p.gamma for p in points])
-    jumps = [(op, rates) for op, _ in jump_operators(points[0])]
-    worst_rhs = max_abs(lindblad_rhs(np.array([steady_state_limit(p) for p in points]),
-                                     np.array([hamiltonian_block(p) for p in points]), jumps))
+    rhs = lindblad_rhs(np.reshape([steady_state_limit(p) for p in points], (-1, 4, 4)),
+                       np.reshape([hamiltonian_block(p) for p in points], (-1, 4, 4)),
+                       [(LOWER_FIRST, rates), (LOWER_SECOND, rates)])
+    worst_rhs = max_abs(rhs) if len(points) else 0.0
     worst_tr = 0.0
     for p in points:
         d = derived_scales(p)

@@ -625,22 +625,25 @@ def test_step_outside_stability_region_exit_code(conf, tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["evolve", "--out", "x.csv"],
-    ["sweep", "--param", "b", "--from", "1", "--to", "2", "--count", "2", "--out", "x.csv"],
-    ["validate", "--quick"],
+@pytest.mark.parametrize("command, dt", [
+    (["evolve", "--out", "x.csv"], "1e-15"),
+    (["sweep", "--param", "b", "--from", "1", "--to", "2", "--count", "2", "--out", "x.csv"],
+     "1e-15"),
+    (["validate", "--quick"], "1e-16"),
 ])
 def test_time_grid_too_large_to_allocate_is_a_config_error(conf, tmp_path, monkeypatch, capsys,
-                                                           command):
-    # at dt = 1e-15 the grid takes PiB, beyond any address space, so numpy
-    # refuses it before it touches any memory (validate --quick runs to t = 5)
+                                                           command, dt):
+    # each grid holds 256 B of states per sample and every 10th step is a sample:
+    # 2e15 samples at t_max = 20, dt = 1e-15, and 5e15 at validate's t_max = 5,
+    # dt = 1e-16. Both exceed 2**57 B, the largest address space with 5-level
+    # paging, so numpy refuses them before it touches any memory
     monkeypatch.chdir(tmp_path)
     window = [] if command[0] == "validate" else [
         "--config", str(conf), "--t-max", "20", "--record-every", "10"]
-    assert main(command[:1] + window + command[1:] + ["--dt", "1e-15"]) == 2
+    assert main(command[:1] + window + command[1:] + ["--dt", dt]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: the ")
-    assert "samples of dt=1e-15 over t=0.." in err
+    assert f"samples of dt={dt} over t=0.." in err
     assert "cannot be allocated: Unable to allocate" in err
     assert err.endswith("; raise dt or record_every\n")
     assert sorted(os.listdir(tmp_path)) == ["base.conf"]

@@ -139,6 +139,12 @@ def test_steady_state_fails_on_one_wrong_stationary_state(monkeypatch, bad):
     assert check.values["max_rhs"] > 1e-8
 
 
+def test_steady_state_of_no_points_passes_with_n_zero():
+    check = steady_state([])
+    assert check.status == "PASS"
+    assert check.values == {"n": 0, "max_rhs": 0.0, "trace_identity_dev": 0.0}
+
+
 def test_stacked_anchor_and_probe_calls_give_the_single_state_bits():
     # three states of distinct LQFI, so a value read from the wrong state shows
     a, b, c = random_x_states(random.Random(7), 3)
