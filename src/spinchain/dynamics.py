@@ -21,21 +21,20 @@ polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 with A = dt L, where L is the
 16x16 Liouvillian acting on vec(rho) (the degree-4 Taylor polynomial of
 exp(dt L); Hairer & Wanner, Solving ODEs II, IV.2). `evolve` builds L by
 applying the generic right-hand side to the 16 basis matrices, forms P once
-and fills the samples a block at a time, applying the stacked powers S, S^2, ..., S^32 of
-the stride S = P^record_every to the first state of each block. Because L
+and fills the samples by doubling: with S = P^record_every the stride, samples
+n .. 2n-1 are S^n applied to samples 0 .. n-1, for n = 1, 2, 4, .... Because L
 annihilates the trace, P preserves it exactly, so divergence never shows as
 trace loss: stability is decided before integrating, from the spectral
 radius of P (the RK4 amplification factor max |R(dt lambda)| over the
 eigenvalues lambda of L). The two identities every RK4 step keeps, trace
 and Hermiticity, are kept exact in the propagation too, so that the
-rounding of the matrices applied block after block cannot accumulate in
-them.
+rounding of the powers S^n cannot accumulate in them.
 
 `evolve` integrates one parameter point from one initial state and
 returns arrays, (times[T], states[T, 4, 4]). A sweep or a sector mixture
 calls it once per point.
 
-The per-sample helpers (`x_components`, `x_leakage`, `record_from_state`,
+The per-sample helpers (`x_leakage`, `record_from_state`,
 `min_eigenvalue`) take one 4x4 state or a (T, 4, 4) stack of states and
 return floats for one state and length-T arrays for a stack, so a whole
 trajectory is reduced in one call. They and every measure route read their
@@ -71,10 +70,6 @@ EIG_CLAMP = 1e-9
 
 # trace budget enforced on the initial state of a run
 _TRACE_TOL = 1e-9
-
-# evolve fills this many samples per matmul, from a stack of stride powers
-_SAMPLE_BLOCK = 32
-
 
 class StepUnstable(RuntimeError):
     """dt lies outside the RK4 stability region of the generator.
@@ -159,10 +154,6 @@ def magnitude(z):
     third of inputs.
     """
     return np.hypot(np.real(z), np.imag(z))
-
-
-def x_components(rho) -> XComponents:
-    return _x_components(as_states(rho))
 
 
 def _x_components(r: np.ndarray) -> XComponents:
@@ -308,29 +299,14 @@ def _keep_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + t.reshape(m.shape).conj())
 
 
-def _stride_powers(stride: np.ndarray, count: int) -> np.ndarray:
-    """The powers S, S^2, ..., S^count of the stride matrix S, (count, 16, 16).
+def _fill(dest: np.ndarray, src: np.ndarray, power: np.ndarray, trace: complex) -> None:
+    """Fill the samples dest with the 16x16 map power applied to the samples src, in one matmul.
 
-    Each power is kept Hermiticity-preserving like S itself.
+    Each sample is then given rho44 from the trace, which every RK4 step
+    keeps exactly; the rounding of the maps would otherwise move it.
     """
-    powers = np.empty((count, 16, 16), dtype=complex)
-    powers[:1] = stride
-    for j in range(1, count):
-        powers[j] = _keep_hermitian(stride @ powers[j - 1])
-    return powers
-
-
-def _fill(states: np.ndarray, k: int, maps: np.ndarray, trace: complex) -> None:
-    """Fill the samples after states[k] with the (b, 16, 16) maps applied to it, in one matmul.
-
-    Sample k+j is maps[j-1] @ states[k], with rho44 then set from the
-    trace, which every RK4 step keeps exactly. The same rounded matrices are
-    applied block after block, so their rounding would otherwise move the
-    trace by the same amount each time.
-    """
-    block = states[k + 1:k + 1 + len(maps)]
-    np.matmul(maps, states[k, :, None], out=block[..., None])
-    block[:, 15] = trace - block[:, 0] - block[:, 5] - block[:, 10]
+    np.matmul(power, src[..., None], out=dest[..., None])
+    dest[:, 15] = trace - dest[:, 0] - dest[:, 5] - dest[:, 10]
 
 
 def _step_split(t_max: float, dt: float) -> tuple[int, float]:
@@ -352,10 +328,12 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
     steps, and t = `cfg.t_max`. When t_max is not a whole number of steps,
     one exact RK4 step of the remaining length ends the run at t_max.
 
-    The samples are filled 32 at a time, each block in one matmul of the
-    stacked stride powers S, S^2, ..., S^32 with the block's first state.
-    They are within 1e-13 of repeated single stride steps, not bit for
-    bit equal to them.
+    The samples are filled by doubling, in about log2(T) matmuls for T
+    samples: with S the stride, samples n .. 2n-1 are S^n applied to
+    samples 0 .. n-1, for n = 1, 2, 4, .... They differ from repeated
+    single stride steps by up to about 1e-16 T, growing with the rounding
+    of the powers S^n: within 1e-13 up to about 1000 samples, 3.7e-13 on
+    a 20 001-sample undamped run.
 
     Raises StepUnstable before integrating when the spectral radius of a
     step matrix that the run applies exceeds 1 + 1e-12 or is not finite.
@@ -401,11 +379,16 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
     states[0] = rho.reshape(16)
     trace = np.trace(rho)
     n_strides = n_steps // every
-    powers = _stride_powers(stride, min(n_strides, _SAMPLE_BLOCK))
-    for start in range(0, n_strides, _SAMPLE_BLOCK):
-        _fill(states, start, powers[:n_strides - start], trace)
+    # samples n .. 2n-1 are S^n applied to samples 0 .. n-1
+    n, power = 1, stride
+    while n <= n_strides:
+        k = min(n, n_strides + 1 - n)
+        _fill(states[n:n + k], states[:k], power, trace)
+        n *= 2
+        if n <= n_strides:
+            power = _keep_hermitian(power @ power)
     if not ends_on_stride:
-        _fill(states, n_strides, last[None], trace)
+        _fill(states[-1:], states[-2:-1], last, trace)
     return times, states.reshape(len(times), 4, 4)
 
 

@@ -34,20 +34,23 @@ b != 0.
 The fast routes (`concurrence_x`, `l1_coherence`, `lqfi`,
 `lqfi_paper_variant`, `evaluate_measures`) take one 4x4 state or a
 (T, 4, 4) stack and return floats for one state and length-T arrays for a
-stack, so a whole trajectory is measured in one call. Their guards check
-every element and raise for the first one that fails, in one order:
-NotHermitian, then NotXForm, then NotPositive. No eigh runs in them:
-`evaluate_measures` runs the guards once, reads each state's X components
-once and solves its two blocks once; the components give both concurrence
-branches, and the block spectra give `lqfi` and the `min_eig` it reports.
+stack, so a whole trajectory is measured in one call. `concurrence_x`,
+`lqfi`, `lqfi_paper_variant` and `evaluate_measures` read their input
+through one guarded X reader, whose guards check every element and raise
+for the first one that fails, in one order: NotHermitian, then NotXForm,
+then NotPositive. No eigh runs in them: the reader reads each state's X
+components once and solves its two blocks once; the components give both
+concurrence branches, and the block spectra give `lqfi` and the `min_eig`
+that `evaluate_measures` reports.
 `evaluate_measures` also owns `l1_rotated`, the l1 coherence in the basis
 of an optional rotation, taken from six fixed combinations of the X
 components: within 1e-14 of the generic `l1_coherence(rho, rotation)` on
 exactly X-form states Hermitian to rounding, and within
 4 (8 X_FORM_TOL + 4 HERMITIAN_TOL) on any state the guards pass.
 The generic routes (`concurrence_generic`, `qfi`, `lqfi_bruteforce`) take
-the same two shapes and run one eigh per state: `lqfi_bruteforce` reuses
-it for all six polarization generators. Every route reads its input
+the same two shapes and run one guarded eigh per state, whose guards raise
+NotHermitian, then NotPositive: `lqfi_bruteforce` reuses it for all six
+polarization generators. Every route reads its input
 through `dynamics.as_states` once, which raises a ValueError naming the
 shape of an input that is neither 4x4 nor a stack of 4x4 states, or naming
 NaN or Inf entries; the steps inside a route take the checked array.
@@ -129,9 +132,9 @@ def concurrence_generic(rho) -> float | np.ndarray:
     The l_i are computed as the singular values of sqrt(rho) (sy x sy)
     conj(sqrt(rho)), which is algebraically the same but does not amplify
     eps-sized spurious eigenvalues to sqrt(eps) on rank-deficient states.
+    Raises the guards of `_guarded_eigh`, NotHermitian then NotPositive.
     """
-    r = as_states(rho)
-    w, v = np.linalg.eigh((r + _adjoint(r)) / 2.0)
+    w, v = _guarded_eigh(rho)
     w[w < 0.0] = 0.0  # clamp roundoff negatives before the root
     sq = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
     lam = np.linalg.svd(sq @ _SIGMA_YY @ sq.conj(), compute_uv=False)
@@ -141,10 +144,11 @@ def concurrence_generic(rho) -> float | np.ndarray:
 def concurrence_x(rho) -> float | np.ndarray:
     """Closed-form concurrence of X-form states, one or a stack.
 
-    Raises NotXForm when any off-pattern entry of a state exceeds the X
-    budget. `evaluate_measures` also reports the two branches.
+    Raises NotHermitian, then NotXForm when any off-pattern entry of a
+    state exceeds the X budget, then NotPositive, as `lqfi` does.
+    `evaluate_measures` also reports the two branches.
     """
-    return per_state(_x_concurrence(_x_components(_x_form_states(as_states(rho))))[0])
+    return per_state(_x_concurrence(_guarded_x(rho)[1])[0])
 
 
 def _x_concurrence(c: XComponents):
@@ -378,9 +382,14 @@ def _lqfi_from_blocks(outer: _XBlock, inner: _XBlock, include_diagonal: bool = T
     return 1.0 - np.maximum(m_zz, m_xy)
 
 
-def _guarded_blocks(rho) -> tuple[_XBlock, _XBlock]:
-    """The block spectra of `rho`, after the Hermiticity, X-pattern and positivity guards."""
-    return _x_blocks(_x_components(_x_form_states(_hermitian_states(rho))))
+def _guarded_x(rho) -> tuple[np.ndarray, XComponents, _XBlock, _XBlock]:
+    """(states, X components, outer block, inner block) of `rho`, after every X-route guard.
+
+    The guards run in one order: Hermiticity, X pattern, positivity.
+    """
+    r = _x_form_states(_hermitian_states(rho))
+    c = _x_components(r)
+    return (r, c, *_x_blocks(c))
 
 
 def lqfi(rho) -> float | np.ndarray:
@@ -398,7 +407,7 @@ def lqfi(rho) -> float | np.ndarray:
     the stack. Raises NotHermitian, then NotXForm for a state outside the
     X pattern (`lqfi_bruteforce` takes any state), then NotPositive.
     """
-    return per_state(_lqfi_from_blocks(*_guarded_blocks(rho)))
+    return per_state(_lqfi_from_blocks(*_guarded_x(rho)[2:]))
 
 
 def lqfi_paper_variant(rho) -> float | np.ndarray:
@@ -410,7 +419,7 @@ def lqfi_paper_variant(rho) -> float | np.ndarray:
     computational basis of a block proportional to the identity. Raises
     NotHermitian, NotXForm and NotPositive as `lqfi` does.
     """
-    return per_state(_lqfi_from_blocks(*_guarded_blocks(rho), include_diagonal=False))
+    return per_state(_lqfi_from_blocks(*_guarded_x(rho)[2:], include_diagonal=False))
 
 
 def lqfi_bruteforce(rho) -> float | np.ndarray:
@@ -478,9 +487,7 @@ def evaluate_measures(rho, rotation: BasisRotation | None = None) -> MeasureSet:
     off-pattern entries and the anti-Hermitian part, which can move it by
     up to 4 (8 X_FORM_TOL + 4 HERMITIAN_TOL), about 3.4e-8.
     """
-    r = _x_form_states(_hermitian_states(rho))
-    c = _x_components(r)
-    outer, inner = _x_blocks(c)
+    r, c, outer, inner = _guarded_x(rho)
     conc, c1, c2 = _x_concurrence(c)
     l1 = per_state(_l1_coherence(r))
     return MeasureSet(

@@ -23,15 +23,16 @@ from spinchain import (
     lqfi_paper_variant,
     qfi,
     record_from_state,
+    steady_state_limit,
     validate_density,
     x_leakage,
 )
-from spinchain.dynamics import HERMITIAN_TOL, X_FORM_TOL, max_abs, min_eigenvalue, x_components
+from spinchain.dynamics import HERMITIAN_TOL, X_FORM_TOL, max_abs, min_eigenvalue
 from spinchain.measures import (
     EIG_CLAMP,
     PAIR_EPS,
     NotPositive,
-    _guarded_blocks,
+    _guarded_x,
     _two_qubit_rotation,
 )
 from spinchain.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -105,6 +106,21 @@ def test_concurrence_x_rejects_off_pattern(rng):
     rho = random_density(rng)
     with pytest.raises(NotXForm):
         concurrence_x(rho)
+
+
+def test_concurrence_routes_refuse_non_states():
+    # rho22 = rho33 = 0.5 with rho23 = 0.9: inner block eigenvalues 1.4 and -0.4
+    negative = np.zeros((4, 4), dtype=complex)
+    negative[1, 1] = negative[2, 2] = 0.5
+    negative[1, 2] = negative[2, 1] = 0.9
+    skewed = negative.copy()
+    skewed[1, 2], skewed[2, 1] = 0.3, 0.1
+    for route in (concurrence_x, concurrence_generic):
+        with pytest.raises(NotPositive, match=r"^density eigenvalue -4\.000e-01 below") as err:
+            route(np.array([bell_state(), negative]))
+        assert err.value.index == 1
+        with pytest.raises(NotHermitian, match=r"^state hermiticity defect 2\.000e-01 exceeds"):
+            route(skewed)
 
 
 # --- l1 coherence -------------------------------------------------------------
@@ -238,6 +254,13 @@ def test_lqfi_anchors():
     assert lqfi(bell_state()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_stationary_lqfi_under_both_formulas():
+    # near the product |11>, rho44 = 0.980: the full sum reads near 0, the variant near 1
+    ss = steady_state_limit(ModelParams(mu=1, gamma=0.2, J0=1.0))
+    assert lqfi(ss) == pytest.approx(0.0265, abs=1e-3)
+    assert lqfi_paper_variant(ss) == pytest.approx(0.9732, abs=1e-3)
+
+
 def test_lqfi_paper_variant_spurious_on_pure_product():
     # dropping the equal-index terms discards the whole variance of a pure
     # product state, inflating the reading to its maximum
@@ -368,7 +391,7 @@ def test_stack_guards_fire_on_one_bad_element(rng):
     skewed[11, 0, 3] += 1e-6
     # the Hermiticity guard runs first, also on a stack that leaves the X pattern
     for states in (skewed, np.concatenate([off_pattern[:11], skewed[11:]])):
-        for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
+        for measure in (concurrence_x, lqfi, lqfi_paper_variant, evaluate_measures):
             with pytest.raises(NotHermitian, match="state hermiticity defect 1.000e-06"):
                 measure(states)
 
@@ -377,7 +400,7 @@ def test_not_positive_names_the_earliest_offender(rng):
     stack = np.array([random_x_state(rng) for _ in range(20)])
     stack[5] = np.diag([1.0 + 3e-9, -3e-9, 0.0, 0.0])
     stack[12] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])  # more negative, but later
-    for measure in (lqfi, lqfi_paper_variant, evaluate_measures):
+    for measure in (concurrence_x, lqfi, lqfi_paper_variant, evaluate_measures):
         with pytest.raises(NotPositive) as err:
             measure(stack)
         assert err.value.index == 5
@@ -479,9 +502,9 @@ def test_ten_pair_weights_match_the_full_pair_weight_form(rng):
     stack = np.concatenate([_hard_x_states(rng), tiny, [random_x_state(rng) for _ in range(200)]])
     for measure, diagonal in ((lqfi, True), (lqfi_paper_variant, False)):
         assert np.array_equal(measure(stack),
-                              _reference_lqfi_from_blocks(*_guarded_blocks(stack), diagonal))
+                              _reference_lqfi_from_blocks(*_guarded_x(stack)[2:], diagonal))
         for rho in stack[:100]:
-            assert measure(rho) == _reference_lqfi_from_blocks(*_guarded_blocks(rho), diagonal)
+            assert measure(rho) == _reference_lqfi_from_blocks(*_guarded_x(rho)[2:], diagonal)
 
 
 def test_x_block_route_anchors_are_exact(no_eigh):
@@ -571,7 +594,7 @@ def _with_spectrum(rng, spectrum):
     return (u * spectrum) @ u.conj().T
 
 
-@pytest.mark.parametrize("route", GENERIC_ROUTES[1:], ids=_route_id)
+@pytest.mark.parametrize("route", GENERIC_ROUTES, ids=_route_id)
 def test_stacked_generic_guards_name_the_first_bad_state(route, rng):
     stack = np.array([random_density(rng) for _ in range(12)])
     negative = stack.copy()
@@ -588,7 +611,7 @@ def test_stacked_generic_guards_name_the_first_bad_state(route, rng):
 
 SHAPED_ROUTES = [lqfi, lqfi_paper_variant, concurrence_x, evaluate_measures, l1_coherence,
                  concurrence_generic, lqfi_bruteforce, partial(qfi, h=_PROBE),
-                 x_leakage, x_components, partial(record_from_state, 0.0), min_eigenvalue]
+                 x_leakage, partial(record_from_state, 0.0), min_eigenvalue]
 
 
 @pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.ones((4, 3)) / 4.0, np.ones((2, 3, 4, 4))],
