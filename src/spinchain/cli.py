@@ -322,9 +322,12 @@ def _crossing(t0, v0, t1, v1) -> float:
 
 
 def run_evolve(cfg: ScenarioConfig) -> int:
+    path = Path(cfg.out or "evolve.csv")
+    if cfg.plot and path.with_suffix(".svg") == path:
+        raise ConfigError(f"out {str(path)!r} is where --plot writes the SVG; "
+                          "name the CSV with another suffix")
     header, blocks = scenario_rows(cfg)
     (rows,) = blocks
-    path = Path(cfg.out or "evolve.csv")
     write_csv(path, header, [rows])
     print(f"wrote {path} ({len(rows)} samples)")
     concurrence = rows[:, CSV_COLUMNS.index("concurrence")]

@@ -483,12 +483,14 @@ def steady_state_limit(p: ModelParams) -> np.ndarray:
     Populations rho11 = rho22 = rho33 = J^2 eta^2 / (4 (Omega^2 + gamma^2)),
     rho44 carries the rest of the trace, rho23 -> 0, and
     rho14 -> -J eta (i gamma + 2 Delta) / (2 (Omega^2 + gamma^2)).
-    Independent of theta. Requires gamma > 0; with eta = 0 the limit is the
+    Independent of theta. Requires gamma > 0, and nothing else: it divides
+    only by Omega^2 + gamma^2, so it also holds where `analytic_state`
+    refuses Omega = 0 or omega = 0. With eta = 0 or J = 0 the limit is the
     pure state |11><11|.
     """
     if p.gamma == 0:
         raise NoDissipation("gamma = 0: no unique long-time limit")
-    delta, big_om, _ = _closed_form_scales(p)
+    delta, big_om, _ = derived_scales(p)
     g = p.gamma
     denom = big_om**2 + g * g
     pop = p.J**2 * p.eta**2 / (4.0 * denom)

@@ -7,10 +7,24 @@ which round-trips exactly, so both give the same bytes. Hand-assembled
 SVG: no plotting dependency, and the output is byte-deterministic for
 identical input (fixed palette, fixed float formatting, no timestamps or
 generated ids).
+
+The polyline points are written by `_points`, a numpy kernel that gives
+the bytes of ``'%.2f,%.2f ' % (x, y)`` per point. For a coordinate v in
+[0, 1000) it takes n = rint(v * 100). The product is rounded to the
+nearest double, and every tie k + 1/2 is a double, so the product lies on
+the same side of each tie as v * 100 itself, or on the tie. Only in that
+last case can rint round the other way from '%.2f'. So a value whose
+product is a tie takes '%.2f', as do negative values (-0.0 included),
+values that round to 1000 or more, NaN and infinities, one value at a
+time. Every other value is laid out from digit tables in an 8-byte cell,
+"ddd.dd" plus its separator with the unwritten leading digits as NUL
+bytes, and the cells are joined by dropping the NUL bytes. The tables are
+built on the first call, so importing this module builds nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +73,56 @@ def _fmt(x: float) -> str:
     return format(x, ".4g")
 
 
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 8-byte cell words of each whole part "ddd." (its leading zeros NUL)
+    and each fraction "dd", and the separators after an x and after a y."""
+    q = np.arange(1000)
+    whole = np.zeros((1000, 8), np.uint8)
+    whole[:, :3] = np.stack([q // 100, q // 10 % 10, q % 10], axis=1) + ord("0")
+    whole[:, 0] *= q >= 100
+    whole[:, 1] *= q >= 10
+    whole[:, 3] = ord(".")
+    f = np.arange(100)
+    frac = np.zeros((100, 8), np.uint8)
+    frac[:, 4] = f // 10 + ord("0")
+    frac[:, 5] = f % 10 + ord("0")
+    sep = np.zeros((2, 8), np.uint8)
+    sep[:, 6] = (ord(","), ord(" "))
+    tables = whole.view(np.uint64)[:, 0], frac.view(np.uint64)[:, 0], sep.view(np.uint64)[:, 0]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _points(xy: np.ndarray) -> bytes:
+    """The points of an (n, 2) array of x, y as ``("%.2f,%.2f " * n % values)[:-1]`` writes them."""
+    v = xy.ravel()
+    whole, frac, sep = _tables()
+    # negatives, -0.0, NaN and infinities are off the fast path before the product
+    fast = ~np.signbit(v) & (v < 1000.0)
+    scaled = np.where(fast, v, 0.0) * 100.0
+    n = np.rint(scaled)
+    # a product on a tie k + 1/2 may stand for a value on either side of it
+    fast &= (np.abs(scaled - n) < 0.5) & (n < 100000)
+    q, r = np.divmod(n.astype(np.int64), 100)
+    buffer = bytearray(8 * len(v))
+    words = np.frombuffer(buffer, np.uint64)
+    np.bitwise_or(np.take(whole, q, mode="clip"), frac[r], out=words)
+    words *= fast
+    words.reshape(-1, 2)[...] |= sep
+    # each slow value's '%.2f' goes in front of its cell, which holds only its separator
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        view, pieces, start = memoryview(buffer), [], 0
+        for i, x in zip(slow.tolist(), v[slow].tolist()):
+            pieces += (view[start:8 * i], b"%.2f" % x)
+            start = 8 * i
+        pieces.append(view[start:])
+        buffer = b"".join(pieces)
+    return buffer.translate(None, b"\0")[:-1]
+
+
 def _text(name: str) -> str:
     """A column name as SVG character data: &, < and > escaped."""
     return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -72,8 +136,9 @@ def emit_plot(header, rows, columns, out_path) -> None:
     the x axis; each requested column becomes one polyline. A point whose
     x or y is NaN or infinite is left out, and both axis ranges span the
     finite values only. Raises UnknownColumn for a missing name and
-    EmptyData for a table without rows or without a finite point (no file
-    is written in any of these cases).
+    EmptyData for a table without rows or without a finite point, and
+    UnicodeEncodeError for a column name that is not ASCII (no file is
+    written in any of these cases).
     """
     if len(rows) == 0:
         raise EmptyData("no data rows")
@@ -146,7 +211,7 @@ def emit_plot(header, rows, columns, out_path) -> None:
         color = _PALETTE[k % len(_PALETTE)]
         finite = np.isfinite(ys[:, k])
         xy = np.column_stack([px(xs[finite]), py(ys[finite, k])])
-        points = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
+        points = _points(xy).decode("ascii")
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 18 * k
@@ -159,4 +224,5 @@ def emit_plot(header, rows, columns, out_path) -> None:
             f'fill="#333333">{_text(name)}</text>')
 
     parts.append("</svg>")
-    Path(out_path).write_text("\n".join(parts) + "\n", encoding="ascii")
+    # encoded before the file is opened, by str.encode's own ASCII path, not a text codec
+    Path(out_path).write_bytes(("\n".join(parts) + "\n").encode("ascii"))

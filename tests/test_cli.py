@@ -421,6 +421,24 @@ def test_evolve_plot_flag_writes_svg(conf, tmp_path):
     assert replot.read_bytes() == svg.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["flags", "config"])
+def test_evolve_refuses_a_csv_path_that_the_plot_would_overwrite(conf, tmp_path, capsys, where):
+    out = tmp_path / "run.svg"
+    if where == "config":
+        conf.write_text(BASE_CONF + f"out = {out}\nplot = true\n")
+        argv = ["evolve", "--config", str(conf)]
+    else:
+        argv = ["evolve", "--config", str(conf), "--out", str(out), "--plot"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: out {str(out)!r} is where --plot writes "
+                                       "the SVG; name the CSV with another suffix\n")
+    assert os.listdir(tmp_path) == ["base.conf"]
+    # without --plot the same path is an ordinary CSV
+    conf.write_text(BASE_CONF)
+    assert main(["evolve", "--config", str(conf), "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"t,rho11,")
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_grid_and_layout(conf, tmp_path):

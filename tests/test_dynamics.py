@@ -467,6 +467,19 @@ def test_analytic_long_time_limit_matches_steady_state(rng):
         assert max_abs(analytic_state(p, horizon) - steady_state_limit(p)) < 1e-9
 
 
+@pytest.mark.parametrize("p", [ModelParams(eta=0.0, J0=0.0, B=0.0), ModelParams(J=0.0, b=0.0)],
+                         ids=["Omega=0", "omega=0"])
+def test_steady_state_at_the_closed_form_singular_points(p):
+    # analytic_state refuses these points; the limit divides only by Omega^2 + gamma^2
+    with pytest.raises(SingularScale):
+        analytic_state(p, 1.0)
+    ss = steady_state_limit(p)
+    assert np.array_equal(ss, np.diag([0.0, 0.0, 0.0, 1.0]))
+    cfg = IntegratorConfig(dt=1e-2, t_max=200.0, record_every=20000)
+    final = evolve(initial_state(p.theta), p, cfg)[1][-1]
+    assert max_abs(final - ss) < 1e-12
+
+
 # --- error paths --------------------------------------------------------------
 
 def test_unstable_step_raises_with_context():

@@ -2,10 +2,11 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from spinchain.cli import main, write_csv
-from spinchain.plotting import EmptyData, UnknownColumn, _ticks, emit_plot, read_csv
+from spinchain.plotting import EmptyData, UnknownColumn, _points, _ticks, emit_plot, read_csv
 
 
 @pytest.fixture
@@ -53,6 +54,13 @@ def test_plot_escapes_markup_in_column_names(tmp_path):
     texts = [el.text for el in ET.parse(out).getroot() if el.tag.endswith("text")]
     # the axis label follows the tick labels, then one legend entry per column
     assert texts[-3:] == ["t<&>", "a<b&c", "d>e"]
+
+
+def test_emit_plot_refuses_a_non_ascii_name_before_writing(tmp_path):
+    out = tmp_path / "chart.svg"
+    with pytest.raises(UnicodeEncodeError):
+        emit_plot(["t", "\u03c1"], [[0.0, 1.0], [1.0, 0.5]], ["\u03c1"], out)
+    assert not out.exists()
 
 
 def test_emit_plot_skips_non_finite_points(sample_csv, tmp_path):
@@ -151,3 +159,35 @@ def test_emit_plot_matches_the_per_point_generator(case, tmp_path):
     replot = tmp_path / "replot.svg"
     assert main(["plot", "--csv", str(csv), "--columns", "a,b", "--out", str(replot)]) == 0
     assert replot.read_bytes() == out.read_bytes()
+
+
+def _points_reference(values) -> bytes:
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.2f,%.2f " * (len(values) // 2) % tuple(values))[:-1].encode()
+
+
+_TIE_VALUES = (np.arange(100_000) + 0.5) / 100  # the x.xx5 nearest to each tie below 1000
+_KERNEL_CASES = {
+    "random": np.random.default_rng(7).random(20_000) * 1000,
+    "eighths": np.arange(8000) / 8,  # k + j/8: exact ties at j = 1, 3, 5, 7
+    "ties": _TIE_VALUES,
+    "below ties": np.nextafter(_TIE_VALUES, 0),
+    "above ties": np.nextafter(_TIE_VALUES, 2000),
+    "two below ties": np.nextafter(np.nextafter(_TIE_VALUES, 0), 0),
+    "specials": [0.0, -0.0, math.nan, math.inf, -math.inf, 999.995, 999.99499999999989, 1e-300],
+    "large": [1000.0, 999.995, 1000.004, 1234.5678, 1e5, 1e300, 2.0**60, 1e16 + 2],
+    "negative": [-1e-300, -0.004, -0.005, -0.125, -1.0, -999.995, -1e300, -5e-324],
+    "mixed": [72.0, -0.0, 0.125, math.nan, 468.0, 1e300, 0.375, -math.inf, 763.995, 0.0],
+    "empty": np.zeros(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_points_kernel_writes_the_percent_format(case):
+    values = np.asarray(_KERNEL_CASES[case], dtype=float)
+    if len(values) % 2:
+        values = np.append(values, 500.0)
+    assert _points(values.reshape(-1, 2)) == _points_reference(values)
+    # the same values as y, each after an x of its own
+    swapped = values.reshape(-1, 2)[:, ::-1].copy()
+    assert _points(swapped) == _points_reference(swapped)
