@@ -185,8 +185,6 @@ _KERNEL_CASES = {
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_points_kernel_writes_the_percent_format(case):
     values = np.asarray(_KERNEL_CASES[case], dtype=float)
-    if len(values) % 2:
-        values = np.append(values, 500.0)
     assert _points(values.reshape(-1, 2)) == _points_reference(values)
     # the same values as y, each after an x of its own
     swapped = values.reshape(-1, 2)[:, ::-1].copy()
