@@ -9,7 +9,6 @@ plus a small CLI (``spinchain``).
 from .dynamics import (
     IntegratorConfig,
     NoDissipation,
-    SingularScale,
     StepUnstable,
     TimeSeriesRecord,
     analytic_state,
@@ -54,7 +53,6 @@ __all__ = [
     "NoDissipation",
     "NotHermitian",
     "NotXForm",
-    "SingularScale",
     "StepUnstable",
     "TimeSeriesRecord",
     "analytic_state",

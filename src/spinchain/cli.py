@@ -372,6 +372,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
 
 
 def run_plot(csv_path, columns: list[str], out_path) -> int:
+    if Path(out_path).resolve() == Path(csv_path).resolve():
+        raise ConfigError(f"out {str(out_path)!r} is the input CSV; name the SVG another file")
     emit_plot(*read_csv(csv_path), columns, out_path)
     print(f"wrote {out_path}")
     return 0

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DerivedScales, ModelParams, derived_scales, hamiltonian_block, jump_operators
+from .model import ModelParams, derived_scales, hamiltonian_block, jump_operators
 
 # an RK4 step matrix is unstable once its spectral radius exceeds 1 by this
 _RADIUS_TOL = 1e-12
@@ -83,10 +83,6 @@ class StepUnstable(RuntimeError):
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
         self.index = index
-
-
-class SingularScale(ValueError):
-    """A closed-form expression divides by Omega or omega equal to zero."""
 
 
 class NoDissipation(ValueError):
@@ -392,14 +388,9 @@ def evolve(rho0, p: ModelParams, cfg: IntegratorConfig | None = None
     return times, states.reshape(len(times), 4, 4)
 
 
-def _closed_form_scales(p: ModelParams) -> DerivedScales:
-    """derived_scales(p), refusing the points where the closed forms divide by zero."""
-    d = derived_scales(p)
-    if d.Omega == 0.0:
-        raise SingularScale("Omega = 0 (eta = 0 and Delta = 0): closed forms divide by Omega")
-    if d.omega == 0.0:
-        raise SingularScale("omega = 0 (J = 0 and b = 0): closed forms divide by omega")
-    return d
+def _sin_over(x: float, t, sin):
+    """sin(x t) / x, an entire function of x that is t at x = 0."""
+    return sin(x * t) / x if x else t
 
 
 def analytic_state(p: ModelParams, t: float | np.ndarray) -> np.ndarray:
@@ -407,9 +398,13 @@ def analytic_state(p: ModelParams, t: float | np.ndarray) -> np.ndarray:
 
     Evaluates the exact solution of the master equation for the initial
     state sin(theta)|01> + cos(theta)|10>: a (4, 4) state for a scalar t,
-    a (T, 4, 4) stack for an array of times. Singular parameter points
-    Omega = 0 (eta = 0 and Delta = 0) or omega = 0 (J = 0 and b = 0) are
-    rejected rather than regularized.
+    a (T, 4, 4) stack for an array of times. It takes every point the CLI
+    accepts, Omega = 0 (eta = 0 and Delta = 0) and omega = 0 (J = 0 and
+    b = 0) included: the gaps x = Omega, omega enter only through the
+    entire functions sin(x t)/x and (1 - cos(x t))/x^2 = 2 (sin(x t/2)/x)^2,
+    and every other ratio has the denominator D = Omega^2 + gamma^2. D is 0
+    only at gamma = 0 with J eta = 0, where both ratios over it, J^2 eta^2/D
+    and J eta/D, are taken as 0.
     """
     times = np.asarray(t, dtype=float)
     # one time is evaluated in Python floats, several times faster than in a 0-d array
@@ -421,49 +416,31 @@ def analytic_state(p: ModelParams, t: float | np.ndarray) -> np.ndarray:
         earliest = t
     if earliest < 0:
         raise ValueError(f"t must be >= 0, got {earliest!r}")
-    delta, big_om, om = _closed_form_scales(p)
+    delta, big_om, om = derived_scales(p)
 
     j, eta, b, g = p.J, p.eta, p.b, p.gamma
-    om2 = om * om
-    big2 = big_om * big_om
-    denom = big2 + g * g
-    a2 = j * j * eta * eta  # J^2 eta^2
+    denom = big_om * big_om + g * g
+    je = j * eta / denom if denom else 0.0  # J eta / D
+    k = j * eta * je  # J^2 eta^2 / D
     s2t = math.sin(2.0 * p.theta)
     c2t = math.cos(2.0 * p.theta)
     eg = exp(-g * t)
     eg2 = exp(-2.0 * g * t)
-    sin_big = sin(big_om * t)
-    cos_big = cos(big_om * t)
-    sin_om = sin(om * t)
-    cos_om = cos(om * t)
+    sinc_big = _sin_over(big_om, t, sin)  # sin(Omega t) / Omega
+    vers_big = 2.0 * _sin_over(big_om, 0.5 * t, sin) ** 2  # (1 - cos(Omega t)) / Omega^2
+    sinc_om = _sin_over(om, t, sin)  # sin(omega t) / omega
+    vers_om = 2.0 * _sin_over(om, 0.5 * t, sin) ** 2  # (1 - cos(omega t)) / omega^2
 
-    rho11 = a2 * (big_om * (1.0 - eg2) - 2.0 * g * sin_big * eg) / (4.0 * big_om * denom)
-    rho22 = (
-        (j * (2.0 * b * s2t - j * c2t) * cos_om) * eg / (2.0 * om2)
-        - (2.0 * big2 * b * b * c2t + big2 * j * b * s2t - 2.0 * delta**2 * om2) * eg / (big2 * om2)
-        + a2 * g * g * cos_big * eg / (2.0 * big2 * denom)
-        + a2 * (1.0 + eg2) / (4.0 * denom)
-    )
-    rho33 = (
-        (j * (j * c2t - 2.0 * b * s2t) * cos_om) * eg / (2.0 * om2)
-        + (2.0 * big2 * b * b * c2t + big2 * j * b * s2t + 2.0 * delta**2 * om2) * eg / (big2 * om2)
-        + a2 * g * g * cos_big * eg / (2.0 * big2 * denom)
-        + a2 * (1.0 + eg2) / (4.0 * denom)
-    )
-    rho44 = (
-        a2 * g * (big_om * sin_big - 2.0 * g * cos_big) * eg / (2.0 * big2 * denom)
-        - 4.0 * delta**2 * eg / big2
-        + (-a2 * eg2 + big2 + 12.0 * delta**2 + 4.0 * g * g) / (4.0 * denom)
-    )
-    rho23 = (
-        -(j * c2t - 2.0 * b * s2t) * (1j * om * sin_om + 2.0 * b * cos_om) * eg / (2.0 * om2)
-        + j * (j * s2t + 2.0 * b * c2t) * eg / (2.0 * om2)
-    )
-    rho14 = (
-        j * eta * g * ((1j * g + 2.0 * delta) * big_om * sin_big
-                       + (1j * big2 - 2.0 * g * delta) * cos_big) * eg / (2.0 * big2 * denom)
-        + j * eta * (2.0 * delta * denom * eg - (1j * g + 2.0 * delta) * big2) / (2.0 * big2 * denom)
-    )
+    damped = 1.0 + g * g * vers_big
+    rho11 = k * (1.0 - eg2 - 2.0 * g * sinc_big * eg) / 4.0
+    inner = (1.0 - k * damped) * eg / 2.0 + k * (1.0 + eg2) / 4.0
+    swap = (c2t + j * (2.0 * b * s2t - j * c2t) * vers_om) * eg / 2.0
+    rho22 = inner - swap
+    rho33 = inner + swap
+    rho44 = (k * g * sinc_big / 2.0 - 1.0 + k * damped) * eg + 1.0 - k * (3.0 + eg2) / 4.0
+    rho23 = (s2t - (j * c2t - 2.0 * b * s2t) * (1j * sinc_om - 2.0 * b * vers_om)) * eg / 2.0
+    rho14 = je * ((g * (1j * g + 2.0 * delta) * sinc_big + 1j * g * cos(big_om * t)
+                   + 2.0 * delta * damped) * eg - (1j * g + 2.0 * delta)) / 2.0
 
     rho = np.zeros(times.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = rho11
@@ -484,9 +461,8 @@ def steady_state_limit(p: ModelParams) -> np.ndarray:
     rho44 carries the rest of the trace, rho23 -> 0, and
     rho14 -> -J eta (i gamma + 2 Delta) / (2 (Omega^2 + gamma^2)).
     Independent of theta. Requires gamma > 0, and nothing else: it divides
-    only by Omega^2 + gamma^2, so it also holds where `analytic_state`
-    refuses Omega = 0 or omega = 0. With eta = 0 or J = 0 the limit is the
-    pure state |11><11|.
+    only by Omega^2 + gamma^2. With eta = 0 or J = 0 the limit is the pure
+    state |11><11|.
     """
     if p.gamma == 0:
         raise NoDissipation("gamma = 0: no unique long-time limit")

@@ -163,18 +163,14 @@ def steady_state(points: Sequence[ModelParams]) -> Check:
 
 
 def _random_valid_params(rng: random.Random, gamma_override=None) -> ModelParams:
-    while True:
-        gamma = rng.uniform(0.05, 3.0) if gamma_override is None else gamma_override
-        p = ModelParams(
-            J=rng.uniform(-3, 3), Jz=rng.uniform(-3, 3),
-            eta=rng.uniform(-3, 3), J0=rng.uniform(-3, 3),
-            B=rng.uniform(-3, 3), b=rng.uniform(-3, 3),
-            gamma=gamma, mu=rng.randrange(-1, 2),
-            theta=rng.uniform(0, math.pi),
-        )
-        d = derived_scales(p)
-        if d.Omega > 1e-6 and d.omega > 1e-6:
-            return p
+    gamma = rng.uniform(0.05, 3.0) if gamma_override is None else gamma_override
+    return ModelParams(
+        J=rng.uniform(-3, 3), Jz=rng.uniform(-3, 3),
+        eta=rng.uniform(-3, 3), J0=rng.uniform(-3, 3),
+        B=rng.uniform(-3, 3), b=rng.uniform(-3, 3),
+        gamma=gamma, mu=rng.randrange(-1, 2),
+        theta=rng.uniform(0, math.pi),
+    )
 
 
 def random_x_states(rng: random.Random, n: int) -> np.ndarray:

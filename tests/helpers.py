@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from spinchain import ModelParams, derived_scales
+from spinchain import ModelParams
 
 
 def random_density(rng, dim=4):
@@ -48,21 +48,17 @@ def random_unitary(rng, dim=2):
 
 
 def random_params(rng, span=3.0, **fixed):
-    """Random model parameters with nondegenerate energy scales."""
-    while True:
-        kwargs = dict(
-            J=float(rng.uniform(-span, span)),
-            Jz=float(rng.uniform(-span, span)),
-            eta=float(rng.uniform(-span, span)),
-            J0=float(rng.uniform(-span, span)),
-            B=float(rng.uniform(-span, span)),
-            b=float(rng.uniform(-span, span)),
-            gamma=float(rng.uniform(0.05, span)),
-            mu=int(rng.integers(-1, 2)),
-            theta=float(rng.uniform(0.0, math.pi)),
-        )
-        kwargs.update(fixed)
-        p = ModelParams(**kwargs)
-        d = derived_scales(p)
-        if d.Omega > 1e-3 and d.omega > 1e-3:
-            return p
+    """Random model parameters, uniform in [-span, span] (gamma in [0.05, span])."""
+    kwargs = dict(
+        J=float(rng.uniform(-span, span)),
+        Jz=float(rng.uniform(-span, span)),
+        eta=float(rng.uniform(-span, span)),
+        J0=float(rng.uniform(-span, span)),
+        B=float(rng.uniform(-span, span)),
+        b=float(rng.uniform(-span, span)),
+        gamma=float(rng.uniform(0.05, span)),
+        mu=int(rng.integers(-1, 2)),
+        theta=float(rng.uniform(0.0, math.pi)),
+    )
+    kwargs.update(fixed)
+    return ModelParams(**kwargs)

@@ -606,6 +606,19 @@ def test_plot_empty_csv(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("out", ["a.csv", "./a.csv", "{tmp}/a.csv"])
+def test_plot_refuses_to_overwrite_its_input_csv(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    csv = tmp_path / "a.csv"
+    csv.write_bytes(b"t,a\n0,1\n1,0.5\n")
+    out = out.format(tmp=tmp_path)
+    assert main(["plot", "--csv", "a.csv", "--columns", "a", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"config error: out {out!r} is the input CSV; "
+                                       "name the SVG another file\n")
+    assert csv.read_bytes() == b"t,a\n0,1\n1,0.5\n"
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
 # --- exit codes and validate ----------------------------------------------------
 
 def test_missing_config_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from spinchain import (
     ModelParams,
     NoDissipation,
     NotHermitian,
-    SingularScale,
     StepUnstable,
     analytic_state,
     evaluate_measures,
@@ -30,6 +30,7 @@ from spinchain.dynamics import (
     _liouvillian,
     _precompute_jumps,
     _rk4_step,
+    _sin_over,
     _x_components,
     as_states,
     hermiticity_defect,
@@ -460,19 +461,19 @@ def test_evolution_approaches_steady_state():
     assert max_abs(final - steady_state_limit(p)) < 1e-6
 
 
+# Omega = 0 (eta = 0 and Delta = J0 mu + B = 0) and omega = 0 (J = 0 and b = 0)
+_ZERO_GAPS = [ModelParams(eta=0.0, J0=0.0, B=0.0), ModelParams(J=0.0, b=0.0)]
+
+
 def test_analytic_long_time_limit_matches_steady_state(rng):
-    for _ in range(20):
-        p = random_params(rng)
+    for p in _ZERO_GAPS + [random_params(rng) for _ in range(20)]:
         horizon = 60.0 / p.gamma
         assert max_abs(analytic_state(p, horizon) - steady_state_limit(p)) < 1e-9
 
 
-@pytest.mark.parametrize("p", [ModelParams(eta=0.0, J0=0.0, B=0.0), ModelParams(J=0.0, b=0.0)],
-                         ids=["Omega=0", "omega=0"])
+@pytest.mark.parametrize("p", _ZERO_GAPS, ids=["Omega=0", "omega=0"])
 def test_steady_state_at_the_closed_form_singular_points(p):
-    # analytic_state refuses these points; the limit divides only by Omega^2 + gamma^2
-    with pytest.raises(SingularScale):
-        analytic_state(p, 1.0)
+    # the limit divides only by Omega^2 + gamma^2
     ss = steady_state_limit(p)
     assert np.array_equal(ss, np.diag([0.0, 0.0, 0.0, 1.0]))
     cfg = IntegratorConfig(dt=1e-2, t_max=200.0, record_every=20000)
@@ -521,12 +522,31 @@ def test_analytic_rejects_negative_time():
         analytic_state(ModelParams(), [0.0, 1.0, -1e-3])
 
 
-def test_analytic_rejects_singular_scales():
-    for t in (1.0, [0.0, 1.0]):
-        with pytest.raises(SingularScale):
-            analytic_state(ModelParams(eta=0.0, J0=0.0, B=0.0), t)
-        with pytest.raises(SingularScale):
-            analytic_state(ModelParams(J=0.0, b=0.0), t)
+def test_sin_over_is_continuous_at_zero():
+    # sin(x t)/x at x = 0 is its limit t; analytic_state multiplies it by 0 there
+    times = np.linspace(0.0, 20.0, 201)
+    for t, sin in [(times, np.sin), (7.5, math.sin)]:
+        assert np.array_equal(_sin_over(0.0, t, sin), t)
+        for x in (1e-8, -1e-8):
+            assert max_abs(_sin_over(x, t, sin) - t) < 1e-12
+
+
+@pytest.mark.parametrize("p,nudges", [
+    (_ZERO_GAPS[0], [{"eta": 1e-8}, {"B": 1e-8}]),
+    (_ZERO_GAPS[1], [{"J": 1e-8}, {"b": 1e-8}]),
+    (ModelParams(eta=0.0, J0=0.0, B=0.0, gamma=0.0), [{"eta": 1e-8}, {"B": 1e-8}]),
+], ids=["Omega=0", "omega=0", "Omega=0,gamma=0"])
+def test_analytic_at_zero_gaps_matches_integration(p, nudges):
+    # sin(x t)/x and (1 - cos(x t))/x^2 are entire in the gap x, so the zeros are ordinary points
+    cfg = IntegratorConfig(dt=1e-3, t_max=5.0, record_every=10)
+    times, states = evolve(initial_state(p.theta), p, cfg)
+    exact = analytic_state(p, times)
+    assert max_abs(states - exact) < 1e-9
+    for i in (1, len(times) // 2, -1):
+        assert max_abs(states[i] - analytic_state(p, float(times[i]))) < 1e-9
+    # the value at the zero is the limit along either path into it
+    for nudge in nudges:
+        assert max_abs(analytic_state(replace(p, **nudge), times) - exact) < 1e-6
 
 
 def test_stacked_closed_form_matches_scalar_form(rng):

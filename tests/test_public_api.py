@@ -11,7 +11,6 @@ PUBLIC = [
     "NoDissipation",
     "NotHermitian",
     "NotXForm",
-    "SingularScale",
     "StepUnstable",
     "TimeSeriesRecord",
     "analytic_state",
