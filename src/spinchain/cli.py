@@ -4,6 +4,10 @@ Scenario configs are flat ``key = value`` text files with ``#`` comments.
 One table, `_KEYS`, gives every config key its type in flag order: the
 file parser, the command-line flags (which override file values) and the
 ScenarioConfig build all read it, and ScenarioConfig holds the defaults.
+A second table, `_COMMANDS`, gives each subcommand its help line and its
+flags (those of `evolve` and `sweep` taken from `_KEYS`); `main` parses
+the command line and builds every help text from it, and a usage error
+is a config error like a bad file value.
 Outputs are deterministic: CSV with 17 significant digits and LF line
 endings, SVG charts with fixed formatting. Exit codes: 0 ok, 1 validation
 failure, 2 config error, 3 numeric instability.
@@ -23,7 +27,6 @@ its one block in memory.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -70,6 +73,24 @@ _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 _MODES = ("single-sector", "sector-mixture")
 
+# every subcommand: its help line and its flags, by key -> (type, required).
+# A key's flag is --key with '-' for '_'; a bool flag takes no value and sets True
+_COMMANDS = {
+    "evolve": ("integrate one scenario and write a CSV",
+               {"config": (str, True), **{key: (kind, False) for key, kind in _KEYS.items()}}),
+    "sweep": ("run a linear grid over one parameter",
+              {"config": (str, True), "param": (str, True), "from": (float, True),
+               "to": (float, True), "count": (int, True),
+               # a sweep writes no plot, so it has no --plot and ignores a plot key
+               **{key: (kind, False) for key, kind in _KEYS.items() if key != "plot"}}),
+    "validate": ("cross-check the computation routes",
+                 {"quick": (bool, False), "dt": (float, False), "gamma": (float, False)}),
+    "plot": ("render CSV columns (--columns a,b,...) as an SVG chart",
+             {"csv": (str, True), "columns": (str, True), "out": (str, True)}),
+}
+_FORMS = "[--flag VALUE | --flag=VALUE | --bool-flag]..."
+_HELP = {"-h", "--help"}
+
 
 class ConfigError(Exception):
     """Malformed config file, bad flag value, or inconsistent scenario."""
@@ -105,8 +126,8 @@ class Event(NamedTuple):
     t: float
 
 
-def _coerce(key: str, raw: str, where: str):
-    kind = _KEYS[key]
+def _coerce(kind: type, key: str, raw: str, where: str):
+    """`raw` as a value of `kind`, for the config key or flag `key` read at `where`."""
     try:
         if kind is bool:
             low = raw.lower()
@@ -142,7 +163,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{where}: empty value for {key!r}")
-        entries[key] = _coerce(key, value, where)
+        entries[key] = _coerce(_KEYS[key], key, value, where)
     return entries
 
 
@@ -349,8 +370,16 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
         raise ConfigError(f"sweep count must be >= 2, got {count}")
     if param == "mu" and cfg.mode == "sector-mixture":
         raise ConfigError("a sector-mixture run averages over mu; sweep mu in single-sector mode")
+    for flag, end in (("--from", start), ("--to", stop)):
+        if not np.isfinite(end):
+            raise ConfigError(f"{flag} must be finite, got {float(end)!r}")
+    try:
+        grid = np.linspace(start, stop, count)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the {count} values of --count cannot be allocated: {exc}; "
+                          "lower --count") from exc
     sweep = []
-    for v in np.linspace(start, stop, count):
+    for v in grid:
         value = v
         if param == "mu":
             if abs(v - round(v)) > 1e-12:
@@ -383,68 +412,101 @@ def run_plot(csv_path, columns: list[str], out_path) -> int:
 # argument parsing
 
 
-def _add_key_flags(sub, keys):
-    """One flag per config key, typed by _KEYS; an absent flag leaves the file value."""
-    for key in keys:
-        flag = "--" + key.replace("_", "-")
-        if _KEYS[key] is bool:
-            sub.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            sub.add_argument(flag, type=_KEYS[key], default=None,
-                             choices=_MODES if key == "mode" else None)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinchain",
-        description="Dissipative XYZ dimer in an Ising sector: evolve, sweep, validate, plot.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_evolve = sub.add_parser("evolve", help="integrate one scenario and write a CSV")
-    p_evolve.add_argument("--config", required=True)
-    _add_key_flags(p_evolve, _KEYS)
-
-    p_sweep = sub.add_parser("sweep", help="run a linear grid over one parameter")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True)
-    p_sweep.add_argument("--from", dest="start", type=float, required=True)
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True)
-    p_sweep.add_argument("--count", type=int, required=True)
-    # a sweep writes no plot, so it has no --plot and ignores a plot key
-    _add_key_flags(p_sweep, [key for key in _KEYS if key != "plot"])
-
-    p_validate = sub.add_parser("validate", help="cross-check the computation routes")
-    p_validate.add_argument("--quick", action="store_true")
-    p_validate.add_argument("--dt", type=float, default=None)
-    p_validate.add_argument("--gamma", type=float, default=None)
-
-    p_plot = sub.add_parser("plot", help="render CSV columns as an SVG chart")
-    p_plot.add_argument("--csv", required=True)
-    p_plot.add_argument("--columns", required=True,
-                        help="comma-separated column names")
-    p_plot.add_argument("--out", required=True)
-    return parser
+def _help(command: str | None = None) -> str:
+    """The help of `command`, built from `_COMMANDS`; of every command when None."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join(
+            [f"usage: spinchain {{{','.join(_COMMANDS)}}} {_FORMS}", "",
+             "Dissipative XYZ dimer in an Ising sector: evolve, sweep, validate, plot.", "",
+             "commands:"]
+            + [f"  {name:<{width}}  {line}" for name, (line, _) in _COMMANDS.items()]
+            + ["", "'spinchain COMMAND -h' lists the flags of COMMAND."])
+    line, table = _COMMANDS[command]
+    names = {key: _flag(key) + ("" if kind is bool else f" {kind.__name__.upper()}")
+             for key, (kind, _) in table.items()}
+    width = max(map(len, names.values()))
+    return "\n".join(
+        [f"usage: spinchain {command} {_FORMS}", "", line, "", "flags:"]
+        + [f"  {names[key]:<{width}}  {'required' if required else ''}".rstrip()
+           for key, (_, required) in table.items()]
+        + [f"  {'-h, --help':<{width}}  show this help"])
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
-    entries = parse_config_file(args.config)
-    entries.update({key: getattr(args, key) for key in _KEYS
-                    if getattr(args, key, None) is not None})
+def _parse(args: list[str]) -> tuple[str | None, dict | None]:
+    """The command that `args` name and its flags by key, typed by `_COMMANDS`.
+
+    A flag is written in full, as ``--flag VALUE`` or ``--flag=VALUE``, or
+    as ``--flag`` alone when it is a bool; a later flag wins. The flags are
+    None when `args` ask for help, and so is the command when they ask for
+    the help of every command. Every usage error is a ConfigError.
+    """
+    names = ", ".join(_COMMANDS)
+    if not args:
+        raise ConfigError(f"no command given; choose one of {names}")
+    command, *rest = args
+    if command in _HELP:
+        return None, None
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; choose one of {names}")
+    if not _HELP.isdisjoint(rest):
+        return command, None
+    table = _COMMANDS[command][1]
+    keys = {_flag(key): key for key in table}
+    flags: dict = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            raise ConfigError(f"{command}: unexpected argument {token!r}")
+        flag, eq, raw = token.partition("=")
+        if flag not in keys:
+            raise ConfigError(f"{command}: unknown flag {flag!r}")
+        key = keys[flag]
+        kind = table[key][0]
+        if kind is bool:
+            if eq:
+                raise ConfigError(f"{command}: {flag} takes no value")
+            flags[key] = True
+            continue
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None or raw.startswith("--"):
+                raise ConfigError(f"{command}: {flag} needs a value")
+        flags[key] = _coerce(kind, flag, raw, command)
+    missing = [flag for flag, key in keys.items() if table[key][1] and key not in flags]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
+    return command, flags
+
+
+def _scenario(flags: dict) -> ScenarioConfig:
+    """The scenario of the config file, with the flags that name config keys overriding it."""
+    entries = parse_config_file(flags["config"])
+    entries.update((key, flags[key]) for key in _KEYS if key in flags)
     return scenario_from_entries(entries)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "evolve":
-            return run_evolve(_scenario_from_args(args))
-        if args.command == "sweep":
-            return run_sweep(_scenario_from_args(args), args.param, args.start, args.stop,
-                             args.count)
-        if args.command == "validate":
-            return run_validate(quick=args.quick, dt=args.dt, gamma=args.gamma)
-        columns = [c for c in args.columns.split(",") if c]
-        return run_plot(args.csv, columns, args.out)
+        command, flags = _parse(args)
+        if flags is None:
+            print(_help(command))
+            return 0
+        if command == "evolve":
+            return run_evolve(_scenario(flags))
+        if command == "sweep":
+            return run_sweep(_scenario(flags), flags["param"], flags["from"], flags["to"],
+                             flags["count"])
+        if command == "validate":
+            return run_validate(quick=flags.get("quick", False), dt=flags.get("dt"),
+                                gamma=flags.get("gamma"))
+        columns = [c for c in flags["columns"].split(",") if c]
+        return run_plot(flags["csv"], columns, flags["out"])
     except StepUnstable as exc:
         print(f"numeric instability: {exc}", file=sys.stderr)
         return 3

@@ -102,6 +102,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError(f"t_max must be >= 0 and finite, got {self.t_max!r}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError(f"t_max / dt must be finite, got {self.t_max!r} / {self.dt!r}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator, Sequence
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -199,22 +200,24 @@ def random_x_states(rng: random.Random, n: int) -> np.ndarray:
     return rho
 
 
-def _checks(quick: bool, dt: float, gamma: float | None) -> Iterator[Check]:
-    """Every check of `validate`, in order, on inputs drawn from a fixed seed."""
+def _checks(quick: bool, cfg: IntegratorConfig, base: ModelParams,
+            gamma: float | None) -> Iterator[Check]:
+    """Every check of `validate`, in order, on inputs drawn from a fixed seed.
+
+    `base` is the point whose theta and mu the deterministic points vary.
+    """
     rng = random.Random(20240817)
-    base_gamma = 0.2 if gamma is None else gamma
-    yield initial_condition([ModelParams(theta=float(theta), gamma=base_gamma)
+    yield initial_condition([replace(base, theta=float(theta))
                              for theta in np.linspace(0.0, math.pi / 2, 9)])
 
-    points = [ModelParams(theta=theta, mu=mu, gamma=base_gamma)
+    points = [replace(base, theta=theta, mu=mu)
               for theta in (math.pi / 4, 0.0) for mu in ((1,) if quick else (1, 0, -1))]
-    cfg = IntegratorConfig(dt=dt, t_max=5.0 if quick else 20.0, record_every=10)
     try:
         runs = [evolve(initial_state(p.theta), p, cfg) for p in points]
     except StepUnstable as exc:
         yield Check("analytic-vs-numeric", "FAIL", f"integration unstable: {exc}", {})
     else:
-        yield analytic_vs_numeric(points, runs, dt)
+        yield analytic_vs_numeric(points, runs, cfg.dt)
         yield conservation(runs)
 
     yield concurrence_routes(random_x_states(rng, 200 if quick else 1000))
@@ -232,10 +235,14 @@ def run_validate(quick: bool = False, dt: float | None = None,
     """Run the cross-checks between independent computation routes.
 
     Prints one line per check; exit status 1 when any check fails.
-    ``--quick`` lowers sample counts without touching tolerances.
+    ``--quick`` lowers sample counts without touching tolerances. A bad
+    `dt` or `gamma` raises ValueError before any check runs or prints.
     """
+    cfg = IntegratorConfig(dt=1e-3 if dt is None else dt, t_max=5.0 if quick else 20.0,
+                           record_every=10)
+    base = ModelParams(gamma=0.2 if gamma is None else gamma)
     failed = 0
-    for check in _checks(quick, 1e-3 if dt is None else dt, gamma):
+    for check in _checks(quick, cfg, base, gamma):
         failed += check.status == "FAIL"
         print(f"{check.status:<4}  {check.name:<28}  {check.detail}")
     print(f"validate: {'FAIL' if failed else 'OK'} ({failed} failing checks)")

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -529,6 +530,35 @@ def test_sweep_rejects_mu_in_sector_mixture(conf, tmp_path, capsys):
     assert sorted(set(values)) == ["-1", "0", "1"]
 
 
+@pytest.mark.parametrize("ends, message", [
+    (["--from", "nan", "--to", "1"], "--from must be finite, got nan"),
+    (["--from", "0", "--to", "inf"], "--to must be finite, got inf"),
+    (["--from=-inf", "--to=nan"], "--from must be finite, got -inf"),
+])
+def test_sweep_refuses_non_finite_ends(conf, tmp_path, capsys, ends, message):
+    # refused before the grid is built, so numpy warns of no nan * 0 either
+    grid = ["sweep", "--config", str(conf), "--param", "b", "--count", "3",
+            "--out", str(tmp_path / "sw.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(grid + ends) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
+def test_sweep_grid_too_large_to_allocate_is_a_config_error(conf, tmp_path, capsys):
+    # 1e17 float64 values take 8e17 B, more than 2**57 B, the largest address space
+    # with 5-level paging, so numpy refuses them before it touches any memory
+    assert main(["sweep", "--config", str(conf), "--param", "b", "--from", "0", "--to", "1",
+                 "--count", str(10**17), "--out", str(tmp_path / "sw.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: the {10**17} values of --count cannot be allocated: "
+                          "Unable to allocate ")
+    assert err.endswith("; lower --count\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
 # --- events -------------------------------------------------------------------
 
 def test_detect_events_quiet_series():
@@ -680,6 +710,29 @@ def test_time_grid_too_large_to_allocate_is_a_config_error(conf, tmp_path, monke
     assert sorted(os.listdir(tmp_path)) == ["base.conf"]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["evolve", "--t-max", "1e308", "--dt", "1e-300"],
+     "t_max / dt must be finite, got 1e+308 / 1e-300"),
+    (["validate", "--quick", "--dt", "1e-320"], "t_max / dt must be finite, got 5.0 / 1e-320"),
+])
+def test_step_count_that_overflows_is_a_config_error(conf, tmp_path, monkeypatch, capsys,
+                                                     command, message):
+    monkeypatch.chdir(tmp_path)
+    config = [] if command[0] == "validate" else ["--config", str(conf)]
+    assert main(command[:1] + config + command[1:]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0"], "dt must be positive and finite, got 0.0"),
+    (["--gamma", "-1"], "gamma must be >= 0, got -1.0"),
+])
+def test_validate_checks_its_flags_before_any_check_prints(capsys, flags, message):
+    assert main(["validate", "--quick"] + flags) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 def test_non_finite_rotation_is_a_config_error(conf, tmp_path, capsys):
     # the rotation is checked with the scenario, before dt = 0.7 fails the stability gate
     code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
@@ -796,6 +849,119 @@ def test_validate_skips_steady_state_without_damping(capsys):
     out = capsys.readouterr().out
     assert "SKIP" in out
     assert "no unique stationary state" in out
+
+
+# --- command line ----------------------------------------------------------------
+
+def test_command_table_takes_evolve_and_sweep_flags_from_the_keys():
+    evolve, sweep = (cli._COMMANDS[command][1] for command in ("evolve", "sweep"))
+    assert list(evolve) == ["config", *_KEYS]
+    # a sweep writes no plot
+    assert list(sweep) == ["config", "param", "from", "to", "count",
+                           *(key for key in _KEYS if key != "plot")]
+    for table in (evolve, sweep):
+        assert all(table[key] == (_KEYS[key], False) for key in _KEYS if key in table)
+
+
+def test_flag_equals_value_gives_the_same_run(conf, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_evolve", lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: seen.append(args) or 0)
+    evolve = ["evolve", "--config", str(conf), "--plot"]
+    pairs = [("--b", "1.5"), ("--mu", "-1"), ("--mode", "sector-mixture"), ("--out", "a=b.csv")]
+    assert main(evolve + [token for pair in pairs for token in pair]) == 0
+    assert main(evolve + [f"{flag}={value}" for flag, value in pairs]) == 0
+    assert seen[0] == seen[1]
+    assert (seen[1].params.b, seen[1].params.mu, seen[1].mode, seen[1].out, seen[1].plot) == (
+        1.5, -1, "sector-mixture", "a=b.csv", True)
+    # a later flag wins, whichever form either one takes
+    assert main(evolve + ["--b=0.5", "--b", "2.5"]) == 0
+    assert main(evolve + ["--b", "0.5", "--b=3.5"]) == 0
+    assert [cfg.params.b for cfg in seen[2:]] == [2.5, 3.5]
+
+    sweep = ["sweep", "--config", str(conf), "--param", "b", "--count", "3"]
+    assert main(sweep + ["--from", "-1", "--to", "2"]) == 0
+    assert main(sweep + ["--from=-1", "--to=2"]) == 0
+    assert seen[-2] == seen[-1]
+    assert seen[-1][1:] == ("b", -1.0, 2.0, 3)
+
+
+_COMMAND_NAMES = "choose one of evolve, sweep, validate, plot"
+_SWEEP = ["sweep", "--config", "base.conf", "--param", "b"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], f"no command given; {_COMMAND_NAMES}"),
+    (["evolve2"], f"unknown command 'evolve2'; {_COMMAND_NAMES}"),
+    (["evolve", "--config", "base.conf", "--bogus", "1"], "evolve: unknown flag '--bogus'"),
+    (["evolve", "--config", "base.conf", "--t_max", "1"], "evolve: unknown flag '--t_max'"),
+    (_SWEEP + ["--from", "0", "--to", "1", "--count", "3", "--plot"],
+     "sweep: unknown flag '--plot'"),
+    (["validate", "-q"], "validate: unknown flag '-q'"),
+    (["evolve", "--config", "base.conf", "--b"], "evolve: --b needs a value"),
+    (["evolve", "--config", "base.conf", "--out", "--plot"], "evolve: --out needs a value"),
+    (["evolve", "--plot"], "evolve needs --config"),
+    (_SWEEP + ["--to", "1"], "sweep needs --from, --count"),
+    (["evolve", "--config", "base.conf", "--b", "x"],
+     "evolve: bad value for '--b': could not convert string to float: 'x'"),
+    (_SWEEP + ["--from", "0", "--to", "1", "--count=2.5"],
+     "sweep: bad value for '--count': invalid literal for int() with base 10: '2.5'"),
+    (["evolve", "--config", "base.conf", "stray"], "evolve: unexpected argument 'stray'"),
+    (["evolve", "--config", "base.conf", "--plot=true"], "evolve: --plot takes no value"),
+])
+def test_usage_errors_exit_2_and_name_the_flag(conf, tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
+def test_abbreviated_flags_are_rejected(conf, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["evolve", "--conf", "base.conf"]) == 2
+    assert capsys.readouterr() == ("", "config error: evolve: unknown flag '--conf'\n")
+    assert main(_SWEEP + ["--from", "0", "--to", "1", "--count", "3", "--compare"]) == 2
+    assert capsys.readouterr() == ("", "config error: sweep: unknown flag '--compare'\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.conf"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "validate", "plot"])
+def test_command_help_lists_every_flag_of_the_table(command, capsys):
+    table = cli._COMMANDS[command][1]
+    for flag in ("-h", "--help"):
+        # help is printed whatever else is on the line, and needs no required flag
+        assert main([command, "--bogus", flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: spinchain {command} ")
+        lines = out.split("\nflags:\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "--" + key.replace("_", "-") for key in table] + ["-h,"]
+        assert [line.split()[0] for line in lines if line.endswith(" required")] == [
+            "--" + key.replace("_", "-") for key, (_, required) in table.items() if required]
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    listed = out.split("\ncommands:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line.split()[0] for line in listed] == list(cli._COMMANDS)
+
+
+def test_validate_quick_imports_no_argparse_gettext_or_locale():
+    # the parser is table-driven, so a run pays for none of argparse's imports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(spinchain.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "import spinchain.cli\n"
+            "status = spinchain.cli.main(['validate', '--quick'])\n"
+            "print(status, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_console_script_installed(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -310,6 +311,14 @@ def test_runs_end_exactly_at_t_max():
     # three whole steps, although 3 * 0.1 rounds to 0.30000000000000004
     cfg = IntegratorConfig(dt=0.1, t_max=0.3, record_every=3)
     assert evolve(initial_state(p.theta), p, cfg)[0].tolist() == [0.0, 0.3]
+
+
+@pytest.mark.parametrize("t_max, dt", [(1e308, 1e-300), (5.0, 1e-320)])
+def test_integrator_config_refuses_a_step_count_that_overflows(t_max, dt):
+    # each value is finite, but the step count t_max / dt is not
+    message = f"t_max / dt must be finite, got {t_max!r} / {dt!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(dt=dt, t_max=t_max)
 
 
 @pytest.mark.parametrize("t_max", [0.1, 0.1005])
