@@ -39,7 +39,7 @@ import numpy as np
 from .dynamics import EIG_CLAMP, IntegratorConfig, StepUnstable, evolve, record_from_state
 from .measures import BasisRotation, NotPositive, evaluate_measures
 from .model import ModelParams, initial_state
-from .plotting import UnknownColumn, emit_plot, read_csv
+from .plotting import emit_plot, read_csv
 from .validate import run_validate
 
 # the fields of TimeSeriesRecord and of MeasureSet, in output order. MeasureSet owns
@@ -184,14 +184,15 @@ def scenario_from_entries(entries: dict) -> ScenarioConfig:
     return cfg
 
 
-def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]] | None = None
+def scenario_rows(cfg: ScenarioConfig, sweep: tuple[str, Sequence[float]] | None = None
                   ) -> tuple[list[str], Iterator[np.ndarray]]:
     """The CSV header of one scenario, and a generator of its (rows, columns) blocks.
 
     With compare_j0_zero the same scenario is re-run at J0 = 0 and every
-    non-time column is appended again with a ``_ref`` suffix. `sweep`
-    holds (value, ModelParams) points that replace cfg.params: the
-    generator then yields one block per point, in order, behind a leading
+    non-time column is appended again with a ``_ref`` suffix. `sweep` is
+    (param, values): each value replaces the ModelParams field `param` of
+    cfg.params (one the field refuses raises ConfigError at once), and the
+    generator yields one block per point, in order, behind a leading
     ``sweep_value`` column; without `sweep` it yields one block.
 
     The generator computes a point only when the next block is asked for.
@@ -202,10 +203,16 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     states and one mix, and the first failure raised is the one a
     point-by-point run meets first. RK4 does not keep positivity, so a
     coarse but stable dt can leave a recorded state with an eigenvalue
-    below -EIG_CLAMP; that is an integration failure too. A StepUnstable
-    carries the `index` of the failing point.
+    below -EIG_CLAMP; that is an integration failure too. In a sweep, a
+    StepUnstable message starts with the failing point's value.
     """
-    values, points = zip(*sweep) if sweep else ((), (cfg.params,))
+    param, values = sweep or ("", [None])
+    points = []
+    for value in values:
+        try:
+            points.append(replace(cfg.params, **{param: value}) if sweep else cfg.params)
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {param}={value!r}: {exc}") from exc
     lead = 1 if sweep else 0
     refs = (False, True) if cfg.compare_j0_zero else (False,)
     header = (["sweep_value"] * lead + CSV_COLUMNS
@@ -216,7 +223,8 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
     icfg, rotation = cfg.integrator(), cfg.rotation()
 
     def blocks() -> Iterator[np.ndarray]:
-        for point, p in enumerate(points):
+        for value, p in zip(values, points):
+            where = f"sweep point {param}={value:g}: " if sweep else ""
             block = None
             for is_ref in refs:
                 entry = replace(p, J0=0.0) if is_ref else p
@@ -234,13 +242,12 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                         del states  # freed before the next sector is integrated
                     ms = evaluate_measures(rho, rotation)
                 except StepUnstable as exc:
-                    exc.index = point
-                    raise
+                    raise StepUnstable(f"{where}{exc}") from exc
                 except NotPositive as exc:
                     raise StepUnstable(
-                        f"integrated state at t={times[exc.index]:.6g} has min_eig "
+                        f"{where}integrated state at t={times[exc.index]:.6g} has min_eig "
                         f"{exc.min_eig:.3e} below -{EIG_CLAMP:.0e} (dt={cfg.dt:g}): "
-                        f"RK4 lost positivity; reduce dt", point) from exc
+                        f"RK4 lost positivity; reduce dt") from exc
                 columns = {**vars(record_from_state(times, rho)), **vars(ms)}
                 del rho, ms  # freed before the next entry is integrated
                 # a reference entry fills the _ref columns, which repeat all but t
@@ -249,7 +256,7 @@ def scenario_rows(cfg: ScenarioConfig, sweep: Sequence[tuple[float, ModelParams]
                 block[:, first:first + len(names)] = np.column_stack([columns[n] for n in names])
                 del columns
             if sweep:
-                block[:, 0] = values[point]
+                block[:, 0] = value
             yield block
             del block  # the consumer holds it only until it asks for the next point
 
@@ -378,24 +385,16 @@ def run_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"the {count} values of --count cannot be allocated: {exc}; "
                           "lower --count") from exc
-    sweep = []
-    for v in grid:
-        value = v
-        if param == "mu":
+    values = grid.tolist()
+    if param == "mu":
+        for v in values:
             if abs(v - round(v)) > 1e-12:
                 raise ConfigError(f"mu sweep values must be integers, got {v!r}")
-            value = int(round(v))
-        try:
-            sweep.append((float(value), replace(cfg.params, **{param: value})))
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {param}={value!r}: {exc}") from exc
+        values = [round(v) for v in values]
 
-    header, blocks = scenario_rows(cfg, sweep)
+    header, blocks = scenario_rows(cfg, (param, values))
     path = Path(cfg.out or "sweep.csv")
-    try:
-        n_rows = write_csv(path, header, blocks)
-    except StepUnstable as exc:
-        raise StepUnstable(f"sweep point {param}={sweep[exc.index][0]:g}: {exc}") from exc
+    n_rows = write_csv(path, header, blocks)
     print(f"wrote {path} ({count} values of {param} x {n_rows // count} samples)")
     return 0
 
@@ -510,10 +509,8 @@ def main(argv=None) -> int:
     except StepUnstable as exc:
         print(f"numeric instability: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, UnknownColumn, FileNotFoundError, IsADirectoryError, ValueError) as exc:
-        # str() of a KeyError quotes its message
-        detail = exc.args[0] if isinstance(exc, UnknownColumn) else exc
-        print(f"config error: {detail}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -75,14 +75,8 @@ class StepUnstable(RuntimeError):
     """dt lies outside the RK4 stability region of the generator.
 
     Raised by `evolve` before it integrates, when the amplification factor
-    (spectral radius) of a step matrix exceeds 1 or is not finite. `index`
-    is the sweep point the failure belongs to: `evolve` leaves it 0 and
-    `cli.scenario_rows` sets it.
+    (spectral radius) of a step matrix exceeds 1 or is not finite.
     """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
 
 
 class NoDissipation(ValueError):

@@ -38,7 +38,7 @@ _WIDTH, _HEIGHT = 860, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 24, 52
 
 
-class UnknownColumn(KeyError):
+class UnknownColumn(ValueError):
     """Requested column name is not in the CSV header."""
 
 
@@ -47,18 +47,21 @@ class EmptyData(ValueError):
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    """Read one of our CSV files: header names plus float rows."""
+    """Read one of our CSV files: header names plus float rows; ValueError names a bad row."""
     text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise EmptyData(f"{path}: no header")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}: row with {len(parts)} fields, header has {len(header)}")
-        rows.append([float(x) for x in parts])
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return header, rows
 
 

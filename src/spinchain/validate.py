@@ -235,14 +235,15 @@ def run_validate(quick: bool = False, dt: float | None = None,
     """Run the cross-checks between independent computation routes.
 
     Prints one line per check; exit status 1 when any check fails.
-    ``--quick`` lowers sample counts without touching tolerances. A bad
-    `dt` or `gamma` raises ValueError before any check runs or prints.
+    ``--quick`` lowers sample counts without touching tolerances. Every
+    check runs before the first line prints, so a bad `dt` or `gamma` or a
+    grid too large to allocate raises ValueError with nothing printed.
     """
     cfg = IntegratorConfig(dt=1e-3 if dt is None else dt, t_max=5.0 if quick else 20.0,
                            record_every=10)
     base = ModelParams(gamma=0.2 if gamma is None else gamma)
     failed = 0
-    for check in _checks(quick, cfg, base, gamma):
+    for check in list(_checks(quick, cfg, base, gamma)):
         failed += check.status == "FAIL"
         print(f"{check.status:<4}  {check.name:<28}  {check.detail}")
     print(f"validate: {'FAIL' if failed else 'OK'} ({failed} failing checks)")

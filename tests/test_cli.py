@@ -454,6 +454,14 @@ def test_sweep_grid_and_layout(conf, tmp_path):
     assert values == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]  # 2 samples per point
 
 
+def test_scenario_rows_checks_every_sweep_value_before_it_returns(conf, monkeypatch):
+    # a value that ModelParams refuses fails the call, before any point is integrated
+    monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("integrated a point"))
+    cfg = scenario_from_entries(parse_config_file(conf))
+    with pytest.raises(ConfigError) as err:
+        scenario_rows(cfg, ("gamma", [0.5, -1.0]))
+    assert str(err.value) == "sweep value gamma=-1.0: gamma must be >= 0, got -1.0"
+
 
 @pytest.mark.parametrize("sweep", [
     ["--param", "b", "--from", "0.5", "--to", "2.5", "--count", "3",
@@ -487,10 +495,9 @@ def _sweep_peak(conf, path, count):
     entries.update({"mode": "sector-mixture", "compare_j0_zero": True,
                     "t_max": 2.0, "dt": 0.01, "record_every": 1})
     cfg = scenario_from_entries(entries)
-    sweep = [(b, replace(cfg.params, b=b)) for b in np.linspace(1.0, 2.0, count)]
     tracemalloc.start()
     try:
-        header, blocks = scenario_rows(cfg, sweep)
+        header, blocks = scenario_rows(cfg, ("b", np.linspace(1.0, 2.0, count).tolist()))
         write_csv(path, header, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -508,14 +515,24 @@ def test_sweep_peak_memory_does_not_grow_with_its_point_count(conf, tmp_path):
     assert large - small <= block
 
 
-@pytest.mark.parametrize("extra", [
-    ["--param", "nope", "--from", "0", "--to", "1", "--count", "2"],
-    ["--param", "b", "--from", "0", "--to", "1", "--count", "1"],
-    ["--param", "mu", "--from", "0", "--to", "1", "--count", "3"],
-    ["--param", "gamma", "--from", "-2", "--to", "-1", "--count", "2"],
-])
-def test_sweep_rejects_bad_grids(conf, extra):
+@pytest.mark.parametrize("extra, message", [
+    (["--param", "nope", "--from", "0", "--to", "1", "--count", "2"],
+     "sweep parameter must be one of ('J', 'Jz', 'eta', 'J0', 'B', 'b', 'gamma', 'mu', 'theta'), "
+     "got 'nope'"),
+    (["--param", "b", "--from", "0", "--to", "1", "--count", "1"], "sweep count must be >= 2, got 1"),
+    (["--param", "mu", "--from", "0", "--to", "1", "--count", "3"],
+     "mu sweep values must be integers, got 0.5"),
+    (["--param", "gamma", "--from", "-2", "--to", "-1", "--count", "2"],
+     "sweep value gamma=-2.0: gamma must be >= 0, got -2.0"),
+    (["--param", "mu", "--from", "-1", "--to", "0", "--count", "3"],
+     "mu sweep values must be integers, got -0.5"),
+], ids=[f"extra{i}" for i in range(5)])
+def test_sweep_rejects_bad_grids(conf, tmp_path, monkeypatch, capsys, extra, message):
+    monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--config", str(conf)] + extra) == 2
+    # values are named as Python numbers, not by numpy's repr
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert os.listdir(tmp_path) == ["base.conf"]
 
 
 def test_sweep_rejects_mu_in_sector_mixture(conf, tmp_path, capsys):
@@ -615,9 +632,22 @@ def test_plot_subcommand(conf, tmp_path):
 def test_plot_unknown_column(conf, tmp_path, capsys):
     csv = tmp_path / "run.csv"
     main(["evolve", "--config", str(conf), "--out", str(csv)])
+    capsys.readouterr()
     assert main(["plot", "--csv", str(csv), "--columns", "nope",
                  "--out", str(tmp_path / "x.svg")]) == 2
-    assert "nope" in capsys.readouterr().err
+    header = csv.read_text().split("\n", 1)[0].split(",")
+    assert capsys.readouterr() == ("", f"config error: column 'nope' not in header {header}\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_names_the_file_and_line_of_a_non_numeric_field(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("t,a\n0,1\n\n2,x\n")  # a blank line is skipped but still counted
+    assert main(["plot", "--csv", str(csv), "--columns", "a",
+                 "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {csv}:4: could not convert string to float: 'x'\n")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_empty_csv(tmp_path, capsys):
@@ -727,10 +757,16 @@ def test_step_count_that_overflows_is_a_config_error(conf, tmp_path, monkeypatch
 @pytest.mark.parametrize("flags, message", [
     (["--dt", "0"], "dt must be positive and finite, got 0.0"),
     (["--gamma", "-1"], "gamma must be >= 0, got -1.0"),
+    # a grid too large to allocate is found by the integration, the second check
+    (["--dt", "1e-16"], "the 5000000000000001 samples of dt=1e-16 over t=0..5 (record_every=10) "
+                        "cannot be allocated: ...; raise dt or record_every"),
 ])
 def test_validate_checks_its_flags_before_any_check_prints(capsys, flags, message):
     assert main(["validate", "--quick"] + flags) == 2
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    out, err = capsys.readouterr()
+    # numpy's reason for a failed allocation varies with its version
+    err = re.sub(r"(cannot be allocated: ).*(; raise)", r"\1...\2", err)
+    assert (out, err) == ("", f"config error: {message}\n")
 
 
 def test_non_finite_rotation_is_a_config_error(conf, tmp_path, capsys):
@@ -757,6 +793,22 @@ def test_failure_order_inside_one_point(conf, tmp_path, capsys, b, fragments):
     for fragment in fragments:
         assert fragment in err
     assert ("amplification factor" in err) == (b == "2")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0.7"], "RK4 amplification factor 1.78306 > 1 for a step of 0.7 (dt=0.7): "
+                      "the run over t=0..10 would diverge; reduce dt"),
+    (["--b", "3", "--dt", "0.01", "--record-every", "1"],
+     "integrated state at t=0.03 has min_eig -1.088e-09 below -1e-09 (dt=0.01): "
+     "RK4 lost positivity; reduce dt"),
+])
+def test_evolve_instability_names_no_sweep_point(conf, tmp_path, capsys, flags, message):
+    # both routes to exit 3, the stability gate and the positivity check, outside a sweep
+    code = main(["evolve", "--config", str(conf), "--out", str(tmp_path / "x.csv"),
+                 "--t-max", "10"] + flags)
+    assert code == 3
+    assert capsys.readouterr() == ("", f"numeric instability: {message}\n")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -499,6 +499,9 @@ def test_unstable_step_raises_with_context():
         evolve(initial_state(p.theta), p, cfg)
     assert "t=" in str(err.value)
     assert "dt=" in str(err.value)
+    # the message is the whole report: a sweep puts its failing point in it
+    assert not hasattr(err.value, "index")
+    assert not hasattr(StepUnstable("m"), "index")
 
 
 def test_step_outside_stability_region_raises():
